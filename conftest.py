@@ -70,6 +70,7 @@ def spark() -> SparkSession:
         )
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
+        .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )
     # One line in test_output.txt that tells the driver whether the

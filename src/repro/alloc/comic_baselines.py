@@ -23,18 +23,14 @@ preserving the published welfare similarity (Fig. 3).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import functions as F
 
 from repro.alloc.greedy_wm import AllocationResult
 from repro.core.utility import UtilityModel
-from repro.diffusion.common import checkpointed, coin
 from repro.diffusion.epic import allocation_from_pairs, final_adoptions
+from repro.diffusion.ic import reached
 from repro.graphs.generator import SocialGraph
 from repro.im.imm import imm
 from repro.im.rrsets import RRCollection, sample_rr_sets
-
-MAX_SUPERSTEPS = 120
 
 
 def adoption_frequency(
@@ -51,43 +47,9 @@ def adoption_frequency(
     and only adopters propagate (Com-IC single-item dynamics, without
     reconsideration). Returns a length-n array of adoption frequencies.
     """
-    spark = graph.edges.sparkSession
-    if not seeds:
-        return np.zeros(graph.n)
-    worlds = spark.range(n_worlds).select(F.col("id").cast("int").alias("world"))
-    seed_df = spark.createDataFrame([(int(s),) for s in seeds], "node long")
-    informed = checkpointed(worlds.crossJoin(seed_df))
-    adopters = checkpointed(
-        informed.where(coin(seed + 3, "world", "node") < F.lit(q))
-    )
-    frontier = adopters
-    edges = graph.edges
-    for _ in range(MAX_SUPERSTEPS):
-        if frontier.isEmpty():
-            break
-        msgs = (
-            frontier.join(edges, frontier.node == edges.src)
-            .where(coin(seed, "world", "src", "dst") < F.col("p"))
-            .select("world", F.col("dst").alias("node"))
-            .distinct()
-        )
-        newly_informed = checkpointed(
-            msgs.join(informed, ["world", "node"], "left_anti")
-        )
-        informed = checkpointed(informed.union(newly_informed))
-        frontier = checkpointed(
-            newly_informed.where(coin(seed + 3, "world", "node") < F.lit(q))
-        )
-    counts = (
-        informed.where(coin(seed + 3, "world", "node") < F.lit(q))
-        .groupBy("node")
-        .count()
-        .toPandas()
-    )
-    freq = np.zeros(graph.n)
-    if len(counts):
-        freq[counts["node"].to_numpy()] = counts["count"].to_numpy() / n_worlds
-    return freq
+    accept = (seed + 3, np.full(graph.n, q))
+    _, nodes = reached(graph, seeds, n_worlds=n_worlds, seed=seed, accept=accept)
+    return np.bincount(nodes, minlength=graph.n) / n_worlds
 
 
 def _covered_rr_seeds(

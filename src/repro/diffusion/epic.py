@@ -146,6 +146,9 @@ def _run_simulation(
         frontier = checkpointed(
             updated.where(F.col("adopt") != F.col("adopt_prev"))
         )
+    else:
+        if not frontier.isEmpty():
+            raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
 
     return state.select("alloc", "world", "node", "adopt").toPandas(), util
 

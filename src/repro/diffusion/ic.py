@@ -1,74 +1,45 @@
-"""Single-item independent-cascade diffusion (§2) as iterative dataflow.
+"""Single-item independent-cascade diffusion (§2).
 
-``spread_mc`` estimates the expected spread σ(S) by simulating W edge
-possible worlds *in one Spark job*: the state DataFrame carries a
-``world`` column and the frontier expansion joins all worlds against the
-edge list simultaneously. Edge liveness is the deterministic hash coin of
-``diffusion.common.coin`` keyed by (world, src, dst), so the same seed
-reproduces the same worlds — and nested seed sets see *consistent* worlds
-(used to test monotonicity and submodularity of σ per-world).
+``spread_mc`` estimates the expected spread σ(S) from W edge possible
+worlds, one key each of the reachability engine (``diffusion.reach``).
+Edge liveness is the hash coin keyed by (world, src, dst), so the same
+seed reproduces the same worlds — and nested seed sets see *consistent*
+worlds (used to test monotonicity and submodularity of σ per-world).
 """
 from __future__ import annotations
 
 import numpy as np
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+import pandas as pd
+from pyspark.sql import DataFrame
 
-from repro.diffusion.common import checkpointed, coin
+from repro.diffusion.reach import reach_spark
 from repro.graphs.generator import SocialGraph
 
-MAX_SUPERSTEPS = 200
 
-
-def _worlds_seeds(
-    spark: SparkSession, seeds: list[int], n_worlds: int
-) -> DataFrame:
-    worlds = spark.range(n_worlds).select(F.col("id").cast("int").alias("world"))
-    seed_df = spark.createDataFrame(
-        [(int(s),) for s in seeds], "node long"
-    )
-    return worlds.crossJoin(seed_df)
+def reached(
+    graph: SocialGraph, seeds: list[int], *, n_worlds: int, seed: int, accept=None
+) -> tuple[np.ndarray, np.ndarray]:
+    """(world, node) of each node active at the end of diffusion from
+    ``seeds`` in ``n_worlds`` worlds; ``accept`` as in ``reach.reach``."""
+    worlds = np.repeat(np.arange(n_worlds), len(seeds))
+    starts = np.tile(np.asarray(seeds, np.int64), n_worlds)
+    return reach_spark(graph, worlds, starts, edge_seed=seed, key_type="int", accept=accept)
 
 
 def active_nodes(
     graph: SocialGraph, seeds: list[int], *, n_worlds: int, seed: int
 ) -> DataFrame:
     """(world, node) pairs active at the end of diffusion, all worlds."""
-    spark = graph.edges.sparkSession
-    if not seeds:
-        return spark.createDataFrame([], "world int, node long")
-    active = checkpointed(_worlds_seeds(spark, seeds, n_worlds))
-    frontier = active
-    edges = graph.edges
-    for _ in range(MAX_SUPERSTEPS):
-        msgs = (
-            frontier.join(edges, frontier.node == edges.src)
-            .where(coin(seed, "world", "src", "dst") < F.col("p"))
-            .select("world", F.col("dst").alias("node"))
-            .distinct()
-        )
-        new = checkpointed(msgs.join(active, ["world", "node"], "left_anti"))
-        if new.isEmpty():
-            break
-        active = checkpointed(active.union(new))
-        frontier = new
-    return active
+    worlds, nodes = reached(graph, seeds, n_worlds=n_worlds, seed=seed)
+    pdf = pd.DataFrame({"world": worlds, "node": nodes})
+    return graph.edges.sparkSession.createDataFrame(pdf, "world int, node long")
 
 
 def spread_mc(
     graph: SocialGraph, seeds: list[int], *, n_worlds: int = 32, seed: int = 0
 ) -> float:
     """Monte-Carlo estimate of the expected spread σ(seeds)."""
-    if not seeds:
-        return 0.0
-    per_world = (
-        active_nodes(graph, seeds, n_worlds=n_worlds, seed=seed)
-        .groupBy("world")
-        .count()
-        .toPandas()
-    )
-    total = float(per_world["count"].sum())  # worlds absent => impossible (seeds always active)
-    return total / n_worlds
+    return len(reached(graph, seeds, n_worlds=n_worlds, seed=seed)[1]) / n_worlds
 
 
 def exact_reachable(graph: SocialGraph, seeds: list[int]) -> set[int]:
@@ -77,15 +48,7 @@ def exact_reachable(graph: SocialGraph, seeds: list[int]) -> set[int]:
     adj: dict[int, list[int]] = {}
     for s, d in edges.itertuples(index=False):
         adj.setdefault(int(s), []).append(int(d))
-    seen = set(int(s) for s in seeds)
-    stack = list(seen)
-    while stack:
-        u = stack.pop()
-        for v in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                stack.append(v)
-    return seen
+    return _closure(adj, seeds)
 
 
 def spread_exact_enumeration(graph: SocialGraph, seeds: list[int]) -> float:
@@ -107,13 +70,18 @@ def spread_exact_enumeration(graph: SocialGraph, seeds: list[int]) -> float:
                 prob *= 1.0 - p
         if prob == 0.0:
             continue
-        seen = set(int(x) for x in seeds)
-        stack = list(seen)
-        while stack:
-            u = stack.pop()
-            for v in adj.get(u, ()):
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        total += prob * len(seen)
+        total += prob * len(_closure(adj, seeds))
     return total
+
+
+def _closure(adj: dict[int, list[int]], seeds: list[int]) -> set[int]:
+    """Nodes reachable from ``seeds`` along the adjacency lists ``adj``."""
+    seen = set(int(s) for s in seeds)
+    stack = list(seen)
+    while stack:
+        u = stack.pop()
+        for v in adj.get(u, ()):
+            if v not in seen:
+                seen.add(v)
+                stack.append(v)
+    return seen

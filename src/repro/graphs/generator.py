@@ -17,8 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+
+from repro.diffusion.reach import build_csr
 
 
 @dataclass
@@ -41,11 +44,14 @@ class SocialGraph:
             self._m = self.edges.count()
         return self._m
 
-    def reverse_edges(self) -> DataFrame:
-        """Edges with src/dst swapped (for reverse-reachability sampling)."""
-        return self.edges.select(
-            F.col("dst").alias("src"), F.col("src").alias("dst"), "p"
-        )
+    def csr(self) -> Broadcast:
+        """``edges`` as ``diffusion.reach.build_csr`` arrays, broadcast to
+        the workers; built on first use and whenever ``edges`` is replaced."""
+        if getattr(self, "_csr", (None,))[0] is not self.edges:
+            e = self.edges.select("src", "dst", "p").toPandas()
+            csr = build_csr(self.n, e["src"].to_numpy(), e["dst"].to_numpy(), e["p"].to_numpy())
+            self._csr = self.edges, self.edges.sparkSession.sparkContext.broadcast(csr)
+        return self._csr[1]
 
 
 def _with_weighted_cascade(spark: SparkSession, pairs: pd.DataFrame) -> DataFrame:

@@ -1,7 +1,6 @@
 """Network statistics (Table 2) computed with Spark SQL aggregations."""
 from __future__ import annotations
 
-import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
@@ -39,8 +38,3 @@ def degree_table(graph: SocialGraph) -> DataFrame:
             F.coalesce("out_degree", F.lit(0)).alias("out_degree"),
         )
     )
-
-
-def stats_frame(graphs: list[SocialGraph]) -> pd.DataFrame:
-    """Table 2 as a pandas frame, one row per network."""
-    return pd.DataFrame([network_stats(g) for g in graphs])

@@ -1,11 +1,11 @@
 """Random reverse-reachable (RR) set sampling and greedy max-cover.
 
-RR-set *generation* — the dominant cost in IMM/PRIMM — is a batched
-Spark dataflow: thousands of RR sets grow simultaneously as a reverse
-BFS over the transposed edge list, with a deterministic coin per
-``(rr_id, src, dst)``. Each RR set may retain nodes with a per-node
-probability (``node_prob``), which is how the Com-IC baselines reweight
-RR sets by GAP adoption probabilities.
+RR-set *generation* — the dominant cost in IMM/PRIMM — runs on the
+reachability engine (``diffusion.reach``): thousands of RR sets grow as
+independent reverse BFSs, sharded across the workers in one Spark job,
+with a deterministic coin per ``(rr_id, src, dst)``. Each RR set may
+retain nodes with a per-node probability (``node_prob``), which is how the
+Com-IC baselines reweight RR sets by GAP adoption probabilities.
 
 ``RRCollection`` accumulates generated sets on the driver and runs IMM's
 ``NodeSelection`` (lazy-free plain greedy max-cover with an inverted
@@ -15,13 +15,9 @@ IMM implementation.
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import functions as F
 
-from repro.diffusion.common import checkpointed, coin
+from repro.diffusion.reach import reach_spark
 from repro.graphs.generator import SocialGraph
-
-MAX_DEPTH = 200
 
 
 def sample_rr_sets(
@@ -32,65 +28,24 @@ def sample_rr_sets(
     id_offset: int = 0,
     node_probs: np.ndarray | None = None,
 ) -> list[np.ndarray]:
-    """Generate ``n_rr`` RR sets in one iterative Spark job.
+    """Generate ``n_rr`` RR sets in one Spark job.
 
     Roots are uniform over V. An edge (u, v) is traversed (reverse
     direction) iff its coin keyed ``(seed, rr_id, u, v)`` is < p(u, v).
     If ``node_probs`` is given (length n), a traversed-to node u is kept
-    in the RR set iff its coin keyed ``(seed, rr_id, u)`` is <
+    in the RR set iff its coin keyed ``(seed + 7, rr_id, u)`` is <
     ``node_probs[u]`` — rejected nodes do not extend the BFS (used by the
     Com-IC baselines; plain IC keeps every node).
 
     Returns a list of ``n_rr`` numpy arrays of node ids; ``id_offset``
     shifts the coin keys so successive batches are independent.
     """
-    spark = graph.edges.sparkSession
-    rng = np.random.default_rng((seed, id_offset))
-    roots = rng.integers(0, graph.n, size=n_rr)
-    frontier_pdf = pd.DataFrame(
-        {"rr": np.arange(n_rr, dtype=np.int64) + id_offset, "node": roots}
-    )
-    frontier = spark.createDataFrame(frontier_pdf)
-    if node_probs is not None:
-        probs = spark.createDataFrame(
-            pd.DataFrame(
-                {"node": np.arange(graph.n, dtype=np.int64), "q": node_probs}
-            )
-        )
-        frontier = frontier.join(probs, "node").where(
-            coin(seed + 7, "rr", "node") < F.col("q")
-        ).select("rr", "node")
-    frontier = checkpointed(frontier)
-    visited = frontier
-    redges = graph.reverse_edges()  # src = original dst; walk dst->src
-    for _ in range(MAX_DEPTH):
-        if frontier.isEmpty():
-            break
-        # reverse step: from node v (frontier) to its in-neighbour u over
-        # original edge (u, v): redges has src=v, dst=u, p=p(u, v).
-        step = (
-            frontier.join(redges, frontier.node == redges.src)
-            .where(coin(seed, "rr", F.col("dst"), F.col("src")) < F.col("p"))
-            .select("rr", F.col("dst").alias("node"))
-            .distinct()
-        )
-        new = step.join(visited, ["rr", "node"], "left_anti")
-        if node_probs is not None:
-            new = (
-                new.join(probs, "node")
-                .where(coin(seed + 7, "rr", "node") < F.col("q"))
-                .select("rr", "node")
-            )
-        new = checkpointed(new)
-        visited = checkpointed(visited.union(new))
-        frontier = new
-    pdf = visited.toPandas()
-    out: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n_rr
-    if len(pdf):
-        pdf = pdf.sort_values("rr")
-        for rr, grp in pdf.groupby("rr"):
-            out[int(rr) - id_offset] = grp["node"].to_numpy()
-    return out
+    roots = np.random.default_rng((seed, id_offset)).integers(0, graph.n, size=n_rr)
+    ids = np.arange(n_rr, dtype=np.int64) + id_offset
+    accept = None if node_probs is None else (seed + 7, node_probs)
+    keys, nodes = reach_spark(graph, ids, roots, edge_seed=seed, key_type="long",
+                              reverse=True, accept=accept)
+    return np.split(nodes, np.searchsorted(keys, ids[1:]))
 
 
 class RRCollection:

@@ -25,6 +25,7 @@ def test_adoption_frequency_q_one_is_reachability(spark):
     f_half = adoption_frequency(g, [0], 0.5, n_worlds=4, seed=2)
     assert f1.sum() >= f_half.sum()
     assert f1[0] == 1.0
+    assert adoption_frequency(g, [0, 0], 1.0, n_worlds=4, seed=2)[0] == 1.0
 
 
 def test_adoption_frequency_zero_q(graph):

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import configs
 from repro.core.itemsets import popcount
+from repro.diffusion import epic
 from repro.diffusion.epic import (
     allocation_from_pairs,
     final_adoptions,
@@ -144,3 +145,12 @@ def test_supermodularity_bundling_beats_splitting(fig1, example):
 def test_empty_allocation(fig1, example):
     r = simulate_welfare(fig1, example, {}, n_worlds=2, seed=0)
     assert r.welfare == 0.0 and r.adoptions == 0.0
+
+
+def test_superstep_cap_raises(fig1, example, monkeypatch):
+    """Reaching the superstep cap with a live frontier is an error, not a
+    silently truncated state: {i1, i2} seeded at v1 needs three supersteps
+    to reach v4 along the chain v1→v4."""
+    monkeypatch.setattr(epic, "MAX_SUPERSTEPS", 1)
+    with pytest.raises(RuntimeError, match="supersteps"):
+        final_adoptions(fig1, example, {0: 0b011}, n_worlds=1, seed=0)

@@ -23,7 +23,7 @@ def fig1(spark):
 
 @pytest.mark.parametrize(
     "seeds,expected",
-    [([4], 5.0), ([0], 4.0), ([1], 3.0), ([6], 1.0), ([0, 4], 7.0)],
+    [([4], 5.0), ([0], 4.0), ([1], 3.0), ([6], 1.0), ([0, 4], 7.0), ([4, 4], 5.0)],
 )
 def test_fig1_exact_spreads(fig1, seeds, expected):
     """All p = 1 ⇒ spread is deterministic reachability (σ(v5)=5, σ(v1)=4
