@@ -6,7 +6,7 @@ from repro.graphs.generator import load_network
 if __name__ == "__main__":
     spark = get_spark("fig5")
     g = load_network(spark, "douban-movie-lite")
-    df = multi_item_welfare(g, totals=[50, 100])
+    df = multi_item_welfare(g)
     print("== Fig. 5: expected social welfare (10 items, configs 7-10) ==")
     print(df.to_string(index=False))
     spark.stop()

@@ -1,7 +1,7 @@
-"""Shared helpers for iterative (Pregel-style) diffusion dataflows."""
+"""Spark's deterministic coin; ``diffusion.reach.coin`` is its NumPy port."""
 from __future__ import annotations
 
-from pyspark.sql import Column, DataFrame
+from pyspark.sql import Column
 from pyspark.sql import functions as F
 
 _TWO_64 = float(2**64)
@@ -19,11 +19,3 @@ def coin(seed: int, *cols: Column | str) -> Column:
     hashed = F.xxhash64(F.lit(seed), *[F.col(c) if isinstance(c, str) else c for c in cols])
     return hashed.cast("double") / F.lit(_TWO_64) + F.lit(0.5)
 
-
-def checkpointed(df: DataFrame) -> DataFrame:
-    """Materialize ``df`` and truncate its lineage.
-
-    Iterative DataFrame loops grow the logical plan linearly; a local
-    checkpoint each superstep keeps planning time constant.
-    """
-    return df.localCheckpoint(eager=True)

@@ -1,21 +1,20 @@
 """EPIC diffusion (§3.2) and the expected-social-welfare estimator.
 
 The simulator runs many *(allocation × edge-world × noise-world)*
-scenarios in a single iterative Spark job. State is a sparse DataFrame of
-``(alloc, world, node, desire, adopt)`` rows (itemsets as int bitmasks);
-each superstep:
+scenarios in one Spark job: ``diffusion.reach.cascade`` runs each
+scenario's whole cascade inside one task, over sparse ``(scenario, node,
+desire, adopt)`` state (itemsets as int bitmasks). Each superstep:
 
-1. the frontier (nodes whose adoption set grew last step) joins the edge
-   list, keeping edges whose deterministic coin keyed ``(world, src,
-   dst)`` is live — the coin is *not* keyed by ``alloc``, so all compared
-   allocations see identical possible worlds (common random numbers, and
-   the per-world monotonicity of Theorem 1 is directly testable);
-2. live messages carry the sender's adoption mask and are OR-aggregated
-   per destination (desire sets are unions of in-neighbour adoptions,
-   §3.2 step 2);
+1. nodes whose adoption set grew last step send it along their out-edges
+   that are live by a deterministic coin keyed ``(world, src, dst)`` —
+   *not* by allocation, so all compared allocations see identical
+   possible worlds (common random numbers, and the per-world monotonicity
+   of Theorem 1 is directly testable);
+2. messages are OR-aggregated per destination (desire sets are unions of
+   in-neighbour adoptions, §3.2 step 2);
 3. receivers update desire and adopt via the per-noise-world lookup table
    (``g``-table for supermodular valuations, constrained-argmax pair
-   table otherwise) applied in a ``mapInPandas`` step (§3.2 step 3).
+   table otherwise; §3.2 step 3).
 
 Welfare ρ and adoption count α are averaged over worlds at the end
 (§4.1: ρ(S) = E_WE[E_WN[ρ_W(S)]]).
@@ -23,25 +22,19 @@ Welfare ρ and adoption count α are averaged over worlds at the end
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
-from pyspark.sql import functions as F
 
 from repro.core.itemsets import popcount
 from repro.core.utility import UtilityModel, adoption_tables_for_worlds
-from repro.diffusion.common import checkpointed, coin
+from repro.diffusion.reach import cascade, run_sharded, spark_hash
 
 MAX_SUPERSTEPS = 120
 
 #: An allocation maps node -> itemset bitmask of items seeded there.
 Allocation = Mapping[int, int]
-
-_STATE_SCHEMA = (
-    "alloc int, world int, node long, desire int, adopt_prev int, adopt int"
-)
 
 
 @dataclass(frozen=True)
@@ -61,96 +54,64 @@ def allocation_from_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
     return out
 
 
-def _adoption_mapper(kind: str, tables: np.ndarray):
-    """mapInPandas fn computing the new adoption mask per state row."""
-
-    def fn(batches: Iterator[pd.DataFrame]) -> Iterator[pd.DataFrame]:
-        for pdf in batches:
-            w = pdf["world"].to_numpy()
-            d = pdf["desire"].to_numpy()
-            a = pdf["adopt_prev"].to_numpy()
-            if kind == "g":
-                new = a | tables[w, d]
-            else:
-                new = tables[w, d, a]
-            out = pdf.copy()
-            out["adopt"] = new.astype("int32")
-            yield out
-
-    return fn
-
-
 def _run_simulation(
-    graph,
-    model: UtilityModel,
-    allocations: Mapping[str, Allocation],
-    *,
-    n_worlds: int,
-    seed: int,
+    graph, model: UtilityModel, allocations: Mapping[str, Allocation], *, n_worlds: int, seed: int,
 ) -> tuple[pd.DataFrame, np.ndarray]:
     """Run EPIC to a fixed point for all (allocation, world) scenarios.
 
     Returns the final sparse state (alloc, world, node, adopt) as pandas
     plus the (W, 2^n) per-world utility arrays.
     """
-    spark: SparkSession = graph.edges.sparkSession
-    names = list(allocations)
     rng = np.random.default_rng(seed)
     noises = np.stack([model.sample_noise(rng) for _ in range(n_worlds)])
     kind, tables, util = adoption_tables_for_worlds(model, noises)
-    mapper = _adoption_mapper(kind, tables)
 
-    rows = [
-        (ai, w, int(node), int(mask), 0)
-        for ai, name in enumerate(names)
-        for node, mask in allocations[name].items()
-        for w in range(n_worlds)
-        if mask
-    ]
+    rows = [(ai, w, int(v), int(m)) for ai, name in enumerate(allocations)
+            for v, m in allocations[name].items() for w in range(n_worlds) if m]
     if not rows:
         return pd.DataFrame(columns=["alloc", "world", "node", "adopt"]), util
-    init = spark.createDataFrame(
-        rows, "alloc int, world int, node long, desire int, adopt_prev int"
-    )
-    state = checkpointed(init.mapInPandas(mapper, _STATE_SCHEMA))
-    frontier = checkpointed(state.where(F.col("adopt") != F.col("adopt_prev")))
+    alloc, world, node, mask = np.array(rows, np.int64).T
+    scen = alloc * n_worlds + world
 
-    edges = graph.edges
-    for _ in range(MAX_SUPERSTEPS):
-        if frontier.isEmpty():
-            break
-        msgs = (
-            frontier.join(edges, frontier.node == edges.src)
-            .where(coin(seed + 1, "world", "src", "dst") < F.col("p"))
-            .groupBy("alloc", "world", F.col("dst").alias("node"))
-            .agg(F.expr("bit_or(adopt)").alias("msg"))
+    def local(csr, mine):
+        (s, v, a, t), steps = cascade(
+            csr, scen[mine], node[mine], mask[mine], n_worlds=n_worlds, kind=kind,
+            tables=tables, edge_seed=seed + 1, cap=MAX_SUPERSTEPS,
         )
-        touched = (
-            msgs.join(state, ["alloc", "world", "node"], "left_outer")
-            .select(
-                "alloc",
-                "world",
-                "node",
-                (
-                    F.coalesce(F.col("desire"), F.lit(0)).bitwiseOR(F.col("msg"))
-                ).alias("desire"),
-                F.coalesce(F.col("adopt"), F.lit(0)).alias("adopt_prev"),
-            )
-        )
-        updated = checkpointed(touched.mapInPandas(mapper, _STATE_SCHEMA))
-        state = checkpointed(
-            state.join(updated, ["alloc", "world", "node"], "left_anti").union(
-                updated
-            )
-        )
-        frontier = checkpointed(
-            updated.where(F.col("adopt") != F.col("adopt_prev"))
-        )
-    else:
-        if not frontier.isEmpty():
-            raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
+        return pd.DataFrame({"scen": s, "node": v, "adopt": a, "touched": t, "steps": steps})
 
-    return state.select("alloc", "world", "node", "adopt").toPandas(), util
+    schema = "scen long, node long, adopt int, touched int, steps int"
+    out = run_sharded(graph, scen, node, schema, local)
+    if out["steps"].max() > MAX_SUPERSTEPS:
+        raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
+    out = out.iloc[_loop_order(graph, out, n_worlds, scen * graph.n + node)]
+    a, w = np.divmod(out["scen"].to_numpy(), n_worlds)
+    return pd.DataFrame({"alloc": a.astype(np.int32), "world": w.astype(np.int32),
+                         "node": out["node"].to_numpy(), "adopt": out["adopt"].to_numpy()}), util
+
+
+def _loop_order(graph, out: pd.DataFrame, n_worlds: int, seed_keys: np.ndarray) -> np.ndarray:
+    """Indices that put the cascade's rows in the order the replaced Spark
+    superstep loop returned them. Welfare sums ``util`` in this order, so
+    it fixes their last bits; DESIGN.md ("Why EPIC keeps the old row
+    order") derives the rule. ``seed_keys`` are the seed rows as built."""
+    spark = graph.edges.sparkSession
+    scen, node, touched = (out[c].to_numpy() for c in ("scen", "node", "touched"))
+    keys, steps, g = scen * graph.n + node, out["steps"].max(), touched.max()
+    alloc, world = np.divmod(scen, n_worlds)
+    part = spark_hash((alloc, "int"), (world, "int"), (node, "long")) % int(
+        spark.conf.get("spark.sql.shuffle.partitions"))
+    if g > 0:  # rows untouched at G, then touched; by key, or stably by partition after a quiet step
+        return np.lexsort((keys, part * (steps > g), touched == g))
+    by_key = np.argsort(keys)
+    built = by_key[np.searchsorted(keys, seed_keys, sorter=by_key)]
+    if steps == 0:
+        return built
+    # a quiet superstep sorted each ``createDataFrame`` slice of the seed rows by partition
+    n_slices = spark.sparkContext.defaultParallelism
+    batch = max(1, min(len(built) // n_slices, 1024))  # as SparkContext.parallelize batches
+    slices = ((np.arange(len(built)) // batch + 1) * n_slices - 1) // -(-len(built) // batch)
+    return built[np.lexsort((part[built], slices))]
 
 
 def simulate_welfare_multi(
@@ -162,12 +123,11 @@ def simulate_welfare_multi(
     seed: int = 0,
 ) -> dict[str, WelfareResult]:
     """Estimate ρ and α for several allocations under shared worlds."""
-    names = list(allocations)
     final, util = _run_simulation(
         graph, model, allocations, n_worlds=n_worlds, seed=seed
     )
     results: dict[str, WelfareResult] = {}
-    for ai, name in enumerate(names):
+    for ai, name in enumerate(allocations):
         sub = final[final["alloc"] == ai] if len(final) else final
         per_world = np.zeros(n_worlds)
         adoptions = 0.0

@@ -1,6 +1,8 @@
-"""Partition-local reachability, the engine behind IC spread, RR-set
-sampling and the Com-IC adoption frequencies (DESIGN.md). ``coin`` ports
-``diffusion.common.coin`` to NumPy, so it flips the coins Spark flips."""
+"""Partition-local diffusion, the engine behind IC spread, RR-set
+sampling, the Com-IC adoption frequencies and EPIC welfare (DESIGN.md).
+``coin`` ports ``diffusion.common.coin`` to NumPy, so it flips the coins
+Spark flips; ``spark_hash`` ports Spark's ``hash``, with which EPIC puts
+its rows in the order of the Spark loop it replaced."""
 import sys
 
 import numpy as np
@@ -17,7 +19,8 @@ _P1, _P2, _P3, _P4, _P5 = map(np.uint64, (
 
 
 def _rotl(x: np.ndarray, r: int) -> np.ndarray:
-    return (x << np.uint64(r)) | (x >> np.uint64(64 - r))
+    t = x.dtype.type
+    return (x << t(r)) | (x >> t(8 * x.dtype.itemsize - r))
 
 
 def _xxh64(x, h: np.ndarray, kind: str) -> np.ndarray:
@@ -42,6 +45,30 @@ def coin(seed: int, *cols: tuple[np.ndarray, str]) -> np.ndarray:
     for x, kind in cols:
         h = _xxh64(x, h, kind)
     return h.view(np.int64) / 2.0**64 + 0.5
+
+
+def _murmur3(x, h: np.ndarray, kind: str) -> np.ndarray:
+    """Spark's ``Murmur3_x86_32.hashInt`` or ``hashLong`` (low word, then
+    high word) of ``x``, seeded ``h``."""
+    x = np.asarray(x, np.int64)
+    words = [x] if kind == "int" else [x, x >> 32]
+    for k in words:
+        k = (k & 0xFFFFFFFF).astype(np.uint32) * np.uint32(0xCC9E2D51)
+        k = _rotl(k, 15) * np.uint32(0x1B873593)
+        h = _rotl(h ^ k, 13) * np.uint32(5) + np.uint32(0xE6546B64)
+    h = h ^ np.uint32(4 * len(words))
+    h = (h ^ (h >> np.uint32(16))) * np.uint32(0x85EBCA6B)
+    h = (h ^ (h >> np.uint32(13))) * np.uint32(0xC2B2AE35)
+    return h ^ (h >> np.uint32(16))
+
+
+def spark_hash(*cols: tuple[np.ndarray, str]) -> np.ndarray:
+    """Spark's ``hash(*cols)`` (Murmur3, seed 42), the key of its hash
+    partitioning, over columns of ``(values, kind)`` as in ``coin``."""
+    h = np.full(1, 42, np.uint32)
+    for x, kind in cols:
+        h = _murmur3(x, h, kind)
+    return h.view(np.int32)
 
 
 def build_csr(n: int, src: np.ndarray, dst: np.ndarray, p: np.ndarray) -> tuple:
@@ -90,19 +117,80 @@ def reach(
     return ukeys[out // n], out % n
 
 
-def reach_spark(graph, keys, starts, **kw) -> tuple[np.ndarray, np.ndarray]:
-    """``reach`` over ``graph.csr()`` in one Spark job: task i of
-    ``defaultParallelism`` takes the keys equal to i modulo their number."""
+def cascade(
+    csr: tuple, scen: np.ndarray, starts: np.ndarray, masks: np.ndarray, *,
+    n_worlds: int, kind: str, tables: np.ndarray, edge_seed: int, cap: int,
+) -> tuple[tuple[np.ndarray, ...], int]:
+    """Batched synchronous EPIC (§3.2): node ``starts[i]`` of scenario
+    ``scen[i]`` (world ``scen[i] % n_worlds``) desires ``masks[i]``. Each
+    superstep, nodes whose adoption changed send it along out-edges live in
+    their world (``coin(edge_seed, world, u, v) < p``); a receiver ORs the
+    masks into its desire and adopts ``a | tables[w, desire]`` (``kind="g"``)
+    or ``tables[w, desire, a]``. Returns every state row as ``(scenario,
+    node, adopt, last superstep that touched it or 0)``, and the supersteps
+    run, ``cap + 1`` if adoptions still changed after ``cap``."""
+    ptr, nbr, prob = csr[0]
+    n = len(ptr) - 1
+
+    def adopt_of(ids, desire, prev):
+        w = ids // n % n_worlds
+        return prev | tables[w, desire] if kind == "g" else tables[w, desire, prev]
+
+    order = np.argsort(scen * n + starts)
+    ids, desire = (scen * n + starts)[order], masks[order]
+    touched = np.zeros(len(ids), np.int32)
+    adopt = adopt_of(ids, desire, np.zeros_like(desire))
+    frontier, sent = ids[adopt != 0], adopt[adopt != 0]
+    step = 0
+    while len(frontier) and step < cap:
+        step += 1
+        k, u = np.divmod(frontier, n)
+        deg = ptr[u + 1] - ptr[u]
+        e = np.repeat(ptr[u] + deg - np.cumsum(deg), deg) + np.arange(deg.sum())
+        k, u, v, m = np.repeat(k, deg), np.repeat(u, deg), nbr[e], np.repeat(sent, deg)
+        live = coin(edge_seed, (k % n_worlds, "int"), (u, "long"), (v, "long")) < prob[e]
+        to = k[live] * n + v[live]
+        by = np.argsort(to, kind="stable")
+        dst, first = np.unique(to[by], return_index=True)
+        msg = np.bitwise_or.reduceat(m[live][by], first) if len(dst) else m[:0]
+        new = ~np.isin(dst, ids, assume_unique=True)
+        at = np.searchsorted(ids, dst[new])
+        ids = np.insert(ids, at, dst[new])
+        desire, adopt, touched = (np.insert(a, at, 0) for a in (desire, adopt, touched))
+        pos = np.searchsorted(ids, dst)
+        prev = adopt[pos]
+        desire[pos] |= msg
+        adopt[pos] = adopt_of(dst, desire[pos], prev)
+        touched[pos] = step
+        changed = adopt[pos] != prev
+        frontier, sent = dst[changed], adopt[pos][changed]
+    return (ids // n, ids % n, adopt, touched), step + (len(frontier) > 0)
+
+
+def run_sharded(graph, keys: np.ndarray, nodes: np.ndarray, schema: str, local) -> pd.DataFrame:
+    """One Spark job: task i of ``defaultParallelism`` returns ``local(csr,
+    keys % n_shards == i)`` as a DataFrame of ``schema``, collected once.
+    The kernels pack ``(key, node)`` as ``key * n + node``, so ``nodes``
+    must be ids of the graph's nodes."""
+    if len(nodes) and not 0 <= np.min(nodes) <= np.max(nodes) < graph.n:
+        raise ValueError(f"node ids must lie in [0, {graph.n}) on graph {graph.name}")
     spark, csr = graph.edges.sparkSession, graph.csr()
     n_shards = spark.sparkContext.defaultParallelism
 
     def run(batches):
         for i in pd.concat(batches)["id"]:
-            mine = keys % n_shards == i
-            k, v = reach(csr.value, keys[mine], starts[mine], **kw)
-            yield pd.DataFrame({"key": k, "node": v})
+            yield local(csr.value, keys % n_shards == i)
 
     shards = spark.range(n_shards, numPartitions=n_shards)
-    out = shards.mapInPandas(run, "key long, node long").toPandas()
+    return shards.mapInPandas(run, schema).toPandas()
+
+
+def reach_spark(graph, keys, starts, **kw) -> tuple[np.ndarray, np.ndarray]:
+    """``reach`` of each key in one ``run_sharded`` job, sorted by key."""
+    def local(csr, mine):
+        k, v = reach(csr, keys[mine], starts[mine], **kw)
+        return pd.DataFrame({"key": k, "node": v})
+
+    out = run_sharded(graph, keys, starts, "key long, node long", local)
     order = np.argsort(out["key"].to_numpy(), kind="stable")
     return out["key"].to_numpy()[order], out["node"].to_numpy()[order]

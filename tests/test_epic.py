@@ -2,10 +2,13 @@
 model's proven properties (Theorem 1, Lemma 4, Theorem 2's asymmetries),
 and consistency of the multi-allocation batched evaluation."""
 import numpy as np
+import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.core import configs
 from repro.core.itemsets import popcount
+from repro.core.utility import g_table
 from repro.diffusion import epic
 from repro.diffusion.epic import (
     allocation_from_pairs,
@@ -14,7 +17,7 @@ from repro.diffusion.epic import (
     simulate_welfare_multi,
 )
 from repro.diffusion.ic import exact_reachable
-from repro.graphs.generator import er_graph, fig1_graph
+from repro.graphs.generator import FIG1_EDGES, SocialGraph, er_graph, fig1_graph
 
 
 @pytest.fixture(scope="module")
@@ -61,6 +64,50 @@ def test_example1_seed_adopts_nothing_alone(fig1, example):
     nothing propagates."""
     r = simulate_welfare(fig1, example, {0: 0b001}, n_worlds=2, seed=0)
     assert r.welfare == 0.0 and r.adoptions == 0.0
+
+
+def _exact_welfare(model, allocation, edges, p) -> float:
+    """E[welfare] of a zero-noise model: a plain synchronous EPIC in every
+    one of the 2^m live-edge worlds, weighted by its probability."""
+    util = model.det_utility()
+    g = g_table(util, model.n_items)
+    total = 0.0
+    for world in range(1 << len(edges)):
+        live = [e for j, e in enumerate(edges) if world >> j & 1]
+        desire = dict(allocation)
+        adopt = {v: int(g[d]) for v, d in desire.items()}
+        frontier = {v for v, a in adopt.items() if a}
+        while frontier:
+            msgs: dict[int, int] = {}
+            for u, v in live:
+                if u in frontier:
+                    msgs[v] = msgs.get(v, 0) | adopt[u]
+            frontier = set()
+            for v, m in msgs.items():
+                desire[v] = desire.get(v, 0) | m
+                new = adopt.get(v, 0) | int(g[desire[v]])
+                if new != adopt.get(v, 0):
+                    frontier.add(v)
+                adopt[v] = new
+        n_live = len(live)
+        total += p**n_live * (1 - p) ** (len(edges) - n_live) * sum(util[a] for a in adopt.values())
+    return total
+
+
+@pytest.mark.parametrize("pairs", [GREEDY, ALT])
+def test_welfare_matches_exact_expectation(spark, example, pairs):
+    """Figure 1's edges at p = 0.5: 4,000 Monte-Carlo worlds land within 4
+    standard errors of the exact expectation over all 2^6 edge worlds."""
+    edges = spark.createDataFrame(pd.DataFrame(FIG1_EDGES, columns=["src", "dst"])).select(
+        F.col("src").cast("long"), F.col("dst").cast("long"), F.lit(0.5).alias("p")
+    )
+    half = SocialGraph(name="fig1-half", n=7, directed=True, edges=edges)
+    allocation = allocation_from_pairs(pairs)
+    exact = _exact_welfare(example, allocation, FIG1_EDGES, 0.5)
+    r = simulate_welfare(half, example, allocation, n_worlds=4000, seed=1)
+    se = r.per_world_welfare.std(ddof=1) / np.sqrt(4000)
+    assert se > 0
+    assert abs(r.welfare - exact) < 4 * se
 
 
 # ---- model properties --------------------------------------------------

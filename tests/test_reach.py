@@ -1,17 +1,20 @@
-"""Tests for the reachability engine: its NumPy coin against Spark's, its
-output against the Spark loops it replaced, and the kernel alone against
-plain reachability."""
+"""Tests for the diffusion engine: its NumPy coin and hash against
+Spark's, its output against the Spark loops it replaced, the kernel alone
+against plain reachability, and its check of node ids."""
 import hashlib
 import json
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark.sql import functions as F
 
 from repro.alloc.comic_baselines import adoption_frequency
+from repro.core import configs
 from repro.diffusion import reach
 from repro.diffusion.common import coin
-from repro.diffusion.ic import active_nodes, exact_reachable
+from repro.diffusion.epic import final_adoptions, simulate_welfare, simulate_welfare_multi
+from repro.diffusion.ic import active_nodes, exact_reachable, spread_mc
 from repro.graphs.generator import FIG1_EDGES, er_graph, fig1_graph
 from repro.im.rrsets import sample_rr_sets
 
@@ -34,6 +37,25 @@ def test_numpy_coin_matches_spark(spark, seed):
     )
     mine = reach.coin(seed, (got["world"], "int"), (got["u"], "long"), (got["v"], "long"))
     np.testing.assert_array_equal(mine, got["c"].to_numpy())
+
+
+def test_numpy_hash_matches_spark(spark):
+    """Same value as Spark's ``hash`` (its hash partitioning key) on
+    (int, int, long) keys over the full value ranges."""
+    rng = np.random.default_rng(11)
+    i64 = np.iinfo(np.int64)
+    pdf = pd.DataFrame({
+        "alloc": rng.integers(-(2**31), 2**31, 100_000, dtype=np.int32),
+        "world": rng.integers(-(2**31), 2**31, 100_000, dtype=np.int32),
+        "node": rng.integers(i64.min, i64.max, 100_000, dtype=np.int64),
+    })
+    got = (
+        spark.createDataFrame(pdf, "alloc int, world int, node long")
+        .select("*", F.hash("alloc", "world", "node").alias("h"))
+        .toPandas()
+    )
+    mine = reach.spark_hash((got["alloc"], "int"), (got["world"], "int"), (got["node"], "long"))
+    np.testing.assert_array_equal(mine, got["h"].to_numpy())
 
 
 def _digest(obj) -> str:
@@ -93,3 +115,73 @@ def test_kernel_alone_is_reachability(spark):
             )
             assert v[k == i].tolist() == sorted(want)
 
+
+def _welfare(res) -> str:
+    return _digest({k: [float(x).hex() for x in r.per_world_welfare] for k, r in res.items()})
+
+
+def _rows(adopt) -> str:
+    return _digest(adopt[["world", "node", "adopt"]].astype(int).to_numpy().tolist())
+
+
+def _alloc(seed: int, n: int, k: int, n_items: int) -> dict[int, int]:
+    rng = np.random.default_rng(seed)
+    return {int(v): int(rng.integers(1, 2**n_items)) for v in rng.choice(n, k, replace=False)}
+
+
+G3, REAL = configs.two_item_model(3), configs.real_model()
+
+
+# Digests of the per-superstep Spark loop (join, coin, table lookup,
+# anti-join + union, checkpoint each step) that the EPIC cascade replaced,
+# on ``er`` with 64 shuffle partitions. Welfare sums ``util`` in row order,
+# so the per-world welfare digests pin the row order too. "g"/"pair" name
+# the adoption table. The last superstep touches no row in the "quiet"
+# cases, and touches rows without changing an adoption in the "touch"
+# ones; no seed adopts in "none".
+@pytest.mark.parametrize("name,make,digest", [
+    ("g-multi-quiet", lambda g: _welfare(simulate_welfare_multi(
+        g, G3, {"a": {0: 1, 1: 2, 2: 1}, "b": _alloc(1, g.n, 10, 2), "c": _alloc(2, g.n, 25, 2)},
+        n_worlds=6, seed=3)), "0a3d9621dd34cbc1"),
+    ("g-multi-touch", lambda g: _welfare(simulate_welfare_multi(
+        g, G3, {"a": _alloc(13, g.n, 8, 2), "b": _alloc(33, g.n, 20, 2)}, n_worlds=4, seed=3)),
+     "86d08cb66be7de5a"),
+    ("pair-multi-quiet", lambda g: _welfare(simulate_welfare_multi(
+        g, REAL, {"a": {0: 31, 1: 31}, "b": _alloc(3, g.n, 12, 5)}, n_worlds=4, seed=2)), "07fbf2b3b6f23463"),
+    ("g-rows-quiet", lambda g: _rows(final_adoptions(g, G3, _alloc(61, g.n, 15, 2), n_worlds=5, seed=1)),
+     "b6e439681a8e35f1"),
+    ("pair-rows-touch", lambda g: _rows(final_adoptions(g, REAL, _alloc(51, g.n, 10, 5), n_worlds=4, seed=1)),
+     "cfc1368282893829"),
+    ("pair-rows-none", lambda g: _rows(final_adoptions(g, REAL, _alloc(55, g.n, 10, 5), n_worlds=4, seed=5)),
+     "9400d0a7c9cd1289"),
+])
+def test_epic_matches_replaced_loop(er, name, make, digest):
+    assert make(er) == digest
+
+
+# The same loop's rows when seeds adopt but no superstep touches a row
+# (v4 and v7 have no out-edges): ``createDataFrame``'s slices of the six
+# seed rows, each stably sorted by hash partition. The slices depend on the
+# number of cores; from 6 cores on each row is a slice of its own, and the
+# rows keep the order they were built in.
+SEEDS_ONLY = {1: "7b735e312a937589", 2: "0757e0767c12b859", 3: "166e536cfac4d59f",
+              4: "725401e06b891710", 5: "725401e06b891710"}
+
+
+def test_epic_seeds_only_matches_replaced_loop(spark):
+    adopt = final_adoptions(fig1_graph(spark), configs.example_model(), {3: 0b101, 6: 0b111},
+                            n_worlds=3, seed=0)
+    cores = spark.sparkContext.defaultParallelism
+    assert _rows(adopt) == SEEDS_ONLY.get(cores, "8820b6fc6c2f07b5")
+
+
+# The kernels pack ``(key, node)`` as ``key * n + node``, so node n would
+# alias node 0 of the next key: node ids are checked at the engine's entry.
+def test_out_of_range_seed_raises_in_reach(spark):
+    with pytest.raises(ValueError, match="node ids"):
+        spread_mc(fig1_graph(spark), [4, 7])
+
+
+def test_out_of_range_seed_raises_in_epic(spark):
+    with pytest.raises(ValueError, match="node ids"):
+        simulate_welfare(fig1_graph(spark), configs.example_model(), {4: 0b101, 7: 0b101}, n_worlds=2)
