@@ -74,30 +74,28 @@ def _run_simulation(
     scen = alloc * n_worlds + world
 
     def local(csr, mine):
-        (s, v, a, t), steps = cascade(
+        return cascade(
             csr, scen[mine], node[mine], mask[mine], n_worlds=n_worlds, kind=kind,
             tables=tables, edge_seed=seed + 1, cap=MAX_SUPERSTEPS,
         )
-        return pd.DataFrame({"scen": s, "node": v, "adopt": a, "touched": t, "steps": steps})
 
-    schema = "scen long, node long, adopt int, touched int, steps int"
-    out = run_sharded(graph, scen, node, schema, local)
-    if out["steps"].max() > MAX_SUPERSTEPS:
+    states, steps = zip(*run_sharded(graph, scen, node, local))
+    if max(steps) > MAX_SUPERSTEPS:
         raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
-    out = out.iloc[_loop_order(graph, out, n_worlds, scen * graph.n + node)]
-    a, w = np.divmod(out["scen"].to_numpy(), n_worlds)
-    return pd.DataFrame({"alloc": a.astype(np.int32), "world": w.astype(np.int32),
-                         "node": out["node"].to_numpy(), "adopt": out["adopt"].to_numpy()}), util
+    s, v, a, t = (np.concatenate(c) for c in zip(*states))
+    order = _loop_order(graph, s, v, t, max(steps), n_worlds, scen * graph.n + node)
+    alloc, world = np.divmod(s[order], n_worlds)
+    return pd.DataFrame({"alloc": alloc.astype(np.int32), "world": world.astype(np.int32),
+                         "node": v[order], "adopt": a[order].astype(np.int32)}), util
 
 
-def _loop_order(graph, out: pd.DataFrame, n_worlds: int, seed_keys: np.ndarray) -> np.ndarray:
+def _loop_order(graph, scen, node, touched, steps, n_worlds: int, seed_keys) -> np.ndarray:
     """Indices that put the cascade's rows in the order the replaced Spark
     superstep loop returned them. Welfare sums ``util`` in this order, so
     it fixes their last bits; DESIGN.md ("Why EPIC keeps the old row
     order") derives the rule. ``seed_keys`` are the seed rows as built."""
-    spark = graph.edges.sparkSession
-    scen, node, touched = (out[c].to_numpy() for c in ("scen", "node", "touched"))
-    keys, steps, g = scen * graph.n + node, out["steps"].max(), touched.max()
+    spark = graph.spark
+    keys, g = scen * graph.n + node, touched.max()
     alloc, world = np.divmod(scen, n_worlds)
     part = spark_hash((alloc, "int"), (world, "int"), (node, "long")) % int(
         spark.conf.get("spark.sql.shuffle.partitions"))

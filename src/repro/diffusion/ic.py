@@ -32,7 +32,7 @@ def active_nodes(
     """(world, node) pairs active at the end of diffusion, all worlds."""
     worlds, nodes = reached(graph, seeds, n_worlds=n_worlds, seed=seed)
     pdf = pd.DataFrame({"world": worlds, "node": nodes})
-    return graph.edges.sparkSession.createDataFrame(pdf, "world int, node long")
+    return graph.spark.createDataFrame(pdf, "world int, node long")
 
 
 def spread_mc(
@@ -44,25 +44,22 @@ def spread_mc(
 
 def exact_reachable(graph: SocialGraph, seeds: list[int]) -> set[int]:
     """Deterministic reachability (valid when every edge has p = 1)."""
-    edges = graph.edges.select("src", "dst").toPandas()
     adj: dict[int, list[int]] = {}
-    for s, d in edges.itertuples(index=False):
-        adj.setdefault(int(s), []).append(int(d))
+    for s, d in zip(graph.src.tolist(), graph.dst.tolist()):
+        adj.setdefault(s, []).append(d)
     return _closure(adj, seeds)
 
 
 def spread_exact_enumeration(graph: SocialGraph, seeds: list[int]) -> float:
     """Exact σ(S) by enumerating all 2^m edge worlds (tiny graphs only)."""
-    edges = graph.edges.select("src", "dst", "p").toPandas()
-    m = len(edges)
+    m = graph.m
     assert m <= 16, "exact enumeration is 2^m"
     total = 0.0
-    es = edges.to_numpy()
+    es = list(zip(graph.src.tolist(), graph.dst.tolist(), graph.p.tolist()))
     for world in range(1 << m):
         prob = 1.0
         adj: dict[int, list[int]] = {}
-        for j in range(m):
-            s, d, p = int(es[j][0]), int(es[j][1]), float(es[j][2])
+        for j, (s, d, p) in enumerate(es):
             if world >> j & 1:
                 prob *= p
                 adj.setdefault(s, []).append(d)

@@ -6,7 +6,6 @@ its rows in the order of the Spark loop it replaced."""
 import sys
 
 import numpy as np
-import pandas as pd
 from pyspark import cloudpickle
 
 # Jobs carry this module's code, so workers need not have ``repro`` on their path.
@@ -167,30 +166,28 @@ def cascade(
     return (ids // n, ids % n, adopt, touched), step + (len(frontier) > 0)
 
 
-def run_sharded(graph, keys: np.ndarray, nodes: np.ndarray, schema: str, local) -> pd.DataFrame:
+def run_sharded(graph, keys: np.ndarray, nodes: np.ndarray, local) -> list:
     """One Spark job: task i of ``defaultParallelism`` returns ``local(csr,
-    keys % n_shards == i)`` as a DataFrame of ``schema``, collected once.
+    keys % n_shards == i)``; returns the tasks' results in task order.
     The kernels pack ``(key, node)`` as ``key * n + node``, so ``nodes``
     must be ids of the graph's nodes."""
     if len(nodes) and not 0 <= np.min(nodes) <= np.max(nodes) < graph.n:
         raise ValueError(f"node ids must lie in [0, {graph.n}) on graph {graph.name}")
-    spark, csr = graph.edges.sparkSession, graph.csr()
-    n_shards = spark.sparkContext.defaultParallelism
+    sc, csr = graph.spark.sparkContext, graph.csr
+    n_shards = sc.defaultParallelism
 
-    def run(batches):
-        for i in pd.concat(batches)["id"]:
+    def run(shard):
+        for i in shard:
             yield local(csr.value, keys % n_shards == i)
 
-    shards = spark.range(n_shards, numPartitions=n_shards)
-    return shards.mapInPandas(run, schema).toPandas()
+    return sc.parallelize(range(n_shards), n_shards).mapPartitions(run).collect()
 
 
 def reach_spark(graph, keys, starts, **kw) -> tuple[np.ndarray, np.ndarray]:
     """``reach`` of each key in one ``run_sharded`` job, sorted by key."""
     def local(csr, mine):
-        k, v = reach(csr, keys[mine], starts[mine], **kw)
-        return pd.DataFrame({"key": k, "node": v})
+        return reach(csr, keys[mine], starts[mine], **kw)
 
-    out = run_sharded(graph, keys, starts, "key long, node long", local)
-    order = np.argsort(out["key"].to_numpy(), kind="stable")
-    return out["key"].to_numpy()[order], out["node"].to_numpy()[order]
+    k, v = (np.concatenate(c) for c in zip(*run_sharded(graph, keys, starts, local)))
+    order = np.argsort(k, kind="stable")
+    return k[order], v[order]

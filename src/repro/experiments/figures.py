@@ -48,6 +48,16 @@ class AllocationCache:
         return self._cache[key]
 
 
+def _vs_greedy(welfare: dict, key: str, n_worlds: int) -> dict:
+    """``vs_greedyWM`` ± ``se``: the paired per-world welfare difference of
+    ``welfare[key]`` from greedyWM's at the same budget point, for keys
+    ``"<algorithm>|<point>"``."""
+    base = welfare["greedyWM|" + key.partition("|")[2]]
+    diff = welfare[key].per_world_welfare - base.per_world_welfare
+    return {"vs_greedyWM": round(diff.mean(), 1),
+            "se": round(diff.std(ddof=1) / np.sqrt(n_worlds), 1)}
+
+
 def uniform_budgets(n_items: int, k: int) -> list[int]:
     return [k] * n_items
 
@@ -137,6 +147,7 @@ def two_item_welfare(
                     "algorithm": name,
                     "welfare": round(r.welfare, 1),
                     "adoptions": round(r.adoptions, 1),
+                    **_vs_greedy(welfare, key, n_worlds),
                     "alloc_time_s": round(t, 1),
                 }
             )
@@ -226,7 +237,6 @@ def multi_item_welfare(
         )
         for key, r in welfare.items():
             name, total, t = meta[key]
-            diff = r.per_world_welfare - welfare[f"greedyWM|{total}"].per_world_welfare
             rows.append(
                 {
                     "config": cfg,
@@ -235,8 +245,7 @@ def multi_item_welfare(
                     "algorithm": name,
                     "welfare": round(r.welfare, 1),
                     "adoptions": round(r.adoptions, 1),
-                    "vs_greedyWM": round(diff.mean(), 1),
-                    "se": round(diff.std(ddof=1) / np.sqrt(n_worlds), 1),
+                    **_vs_greedy(welfare, key, n_worlds),
                     "alloc_time_s": round(t, 1),
                 }
             )

@@ -9,24 +9,25 @@ Douban-lites are directed and sparser, Twitter-lite is the largest and by
 far the densest (paper avg degree 70.5).
 
 Edges carry the weighted-cascade influence probability
-``p(u, v) = 1 / d_in(v)`` (§6.1.3), computed with a Spark aggregation.
+``p(u, v) = 1 / d_in(v)`` (§6.1.3). A graph is NumPy edge arrays held on
+the driver; the diffusion engine reads them as a broadcast CSR.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import pandas as pd
 from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
 from repro.diffusion.reach import build_csr
 
 
-@dataclass
+@dataclass(eq=False)
 class SocialGraph:
-    """A directed influence graph: cached edges (src, dst, p) + metadata.
+    """A directed influence graph: edge arrays (src, dst, p) + metadata.
 
     ``n`` counts nodes 0..n-1 (isolated nodes allowed); ``m`` is the
     number of directed edges stored; ``directed`` is False when the edge
@@ -36,35 +37,27 @@ class SocialGraph:
     name: str
     n: int
     directed: bool
-    edges: DataFrame
+    src: np.ndarray
+    dst: np.ndarray
+    p: np.ndarray
+    spark: SparkSession
 
     @property
     def m(self) -> int:
-        if not hasattr(self, "_m"):
-            self._m = self.edges.count()
-        return self._m
+        return len(self.src)
 
+    @cached_property
+    def edges(self) -> DataFrame:
+        """The edges as a Spark DataFrame ``(src, dst, p)``, made on first
+        use, for SQL checks and degree tables; the engine reads ``csr``."""
+        pdf = pd.DataFrame({"src": self.src, "dst": self.dst, "p": self.p})
+        return self.spark.createDataFrame(pdf, "src long, dst long, p double")
+
+    @cached_property
     def csr(self) -> Broadcast:
-        """``edges`` as ``diffusion.reach.build_csr`` arrays, broadcast to
-        the workers; built on first use and whenever ``edges`` is replaced."""
-        if getattr(self, "_csr", (None,))[0] is not self.edges:
-            e = self.edges.select("src", "dst", "p").toPandas()
-            csr = build_csr(self.n, e["src"].to_numpy(), e["dst"].to_numpy(), e["p"].to_numpy())
-            self._csr = self.edges, self.edges.sparkSession.sparkContext.broadcast(csr)
-        return self._csr[1]
-
-
-def _with_weighted_cascade(spark: SparkSession, pairs: pd.DataFrame) -> DataFrame:
-    """Attach p = 1/d_in(dst) to a (src, dst) pandas edge list via Spark."""
-    edges = spark.createDataFrame(pairs).select(
-        F.col("src").cast("long"), F.col("dst").cast("long")
-    )
-    indeg = edges.groupBy("dst").agg(F.count("*").alias("d_in"))
-    return (
-        edges.join(indeg, "dst")
-        .select("src", "dst", (F.lit(1.0) / F.col("d_in")).alias("p"))
-        .persist()
-    )
+        """The edges as ``diffusion.reach.build_csr`` arrays, broadcast to
+        the workers on first use."""
+        return self.spark.sparkContext.broadcast(build_csr(self.n, self.src, self.dst, self.p))
 
 
 def from_edge_pairs(
@@ -75,21 +68,21 @@ def from_edge_pairs(
     n: int,
     directed: bool = True,
 ) -> SocialGraph:
-    """Build a SocialGraph from an (m, 2) array of (src, dst) pairs.
+    """Build a SocialGraph from an (m, 2) array of (src, dst) pairs of
+    node ids in [0, n), with p = 1/d_in(dst).
 
     Self-loops and duplicate edges are dropped; undirected graphs are
     symmetrized (both directions stored).
     """
+    pairs = np.asarray(pairs, np.int64).reshape(-1, 2)
+    if len(pairs) and not 0 <= pairs.min() <= pairs.max() < n:
+        raise ValueError(f"node ids must lie in [0, {n}) on graph {name}")
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if not directed:
         pairs = np.concatenate([pairs, pairs[:, ::-1]])
-    pairs = np.unique(pairs, axis=0)
-    pdf = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1]})
-    g = SocialGraph(
-        name=name, n=n, directed=directed, edges=_with_weighted_cascade(spark, pdf)
-    )
-    g.edges.count()  # materialize the cache
-    return g
+    src, dst = np.ascontiguousarray(np.unique(pairs, axis=0).T)
+    p = 1.0 / np.bincount(dst, minlength=n)[dst]
+    return SocialGraph(name, n, directed, src, dst, p, spark)
 
 
 def power_law_graph(
@@ -146,13 +139,8 @@ FIG1_EDGES = [(0, 1), (1, 2), (2, 3), (4, 2), (4, 5), (5, 6)]
 
 def fig1_graph(spark: SparkSession) -> SocialGraph:
     """The 7-node example network of Figure 1 with p = 1 on every edge."""
-    pdf = pd.DataFrame(FIG1_EDGES, columns=["src", "dst"])
-    edges = spark.createDataFrame(pdf).select(
-        F.col("src").cast("long"), F.col("dst").cast("long"), F.lit(1.0).alias("p")
-    ).persist()
-    g = SocialGraph(name="fig1", n=7, directed=True, edges=edges)
-    g.edges.count()
-    return g
+    g = from_edge_pairs(spark, np.array(FIG1_EDGES), name="fig1", n=7)
+    return replace(g, p=np.ones(g.m))
 
 
 #: Stand-in sizes: name -> (n, m_target, directed, seed). Paper sizes in

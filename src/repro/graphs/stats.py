@@ -1,4 +1,5 @@
-"""Network statistics (Table 2) computed with Spark SQL aggregations."""
+"""Network statistics (Table 2) from the edge arrays, and per-node degrees
+as a Spark aggregation over the ``edges`` view."""
 from __future__ import annotations
 
 from pyspark.sql import DataFrame

@@ -1,10 +1,10 @@
 """Tests for the EPIC diffusion simulator — Example 1 end-to-end, the
 model's proven properties (Theorem 1, Lemma 4, Theorem 2's asymmetries),
 and consistency of the multi-allocation batched evaluation."""
+import dataclasses
+
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core import configs
 from repro.core.itemsets import popcount
@@ -17,7 +17,7 @@ from repro.diffusion.epic import (
     simulate_welfare_multi,
 )
 from repro.diffusion.ic import exact_reachable
-from repro.graphs.generator import FIG1_EDGES, SocialGraph, er_graph, fig1_graph
+from repro.graphs.generator import FIG1_EDGES, er_graph, fig1_graph
 
 
 @pytest.fixture(scope="module")
@@ -95,13 +95,10 @@ def _exact_welfare(model, allocation, edges, p) -> float:
 
 
 @pytest.mark.parametrize("pairs", [GREEDY, ALT])
-def test_welfare_matches_exact_expectation(spark, example, pairs):
+def test_welfare_matches_exact_expectation(fig1, example, pairs):
     """Figure 1's edges at p = 0.5: 4,000 Monte-Carlo worlds land within 4
     standard errors of the exact expectation over all 2^6 edge worlds."""
-    edges = spark.createDataFrame(pd.DataFrame(FIG1_EDGES, columns=["src", "dst"])).select(
-        F.col("src").cast("long"), F.col("dst").cast("long"), F.lit(0.5).alias("p")
-    )
-    half = SocialGraph(name="fig1-half", n=7, directed=True, edges=edges)
+    half = dataclasses.replace(fig1, name="fig1-half", p=np.full(fig1.m, 0.5))
     allocation = allocation_from_pairs(pairs)
     exact = _exact_welfare(example, allocation, FIG1_EDGES, 0.5)
     r = simulate_welfare(half, example, allocation, n_worlds=4000, seed=1)

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 from pyspark.sql import functions as F
 
+from repro.diffusion.ic import spread_mc
 from repro.graphs.generator import (
     FIG1_EDGES,
     er_graph,
@@ -34,6 +35,38 @@ def test_weighted_cascade_probabilities(small_graph):
         .toPandas()
     )
     assert np.allclose(sums["s"], 1.0)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_weighted_cascade_matches_duckdb(spark, directed):
+    """p(u,v) = 1/d_in(v) on every edge, against DuckDB over the same
+    (src, dst) pairs, for a directed and a symmetrized undirected graph."""
+    g = power_law_graph(spark, name="pl-wc", n=150, m_target=600, directed=directed, seed=5)
+    assert_equivalent(
+        g.edges,
+        "SELECT src, dst, 1.0 / count(*) OVER (PARTITION BY dst) AS p FROM edges",
+        edges=g.edges.select("src", "dst"),
+    )
+
+
+@pytest.mark.parametrize("pairs", [[[0, 5], [1, 2]], [[-1, 2], [1, 2]]])
+def test_out_of_range_node_ids_rejected(spark, pairs):
+    with pytest.raises(ValueError, match="oob"):
+        from_edge_pairs(spark, np.array(pairs), name="oob", n=3)
+
+
+def test_build_and_spread_launch_one_spark_job(spark):
+    """Building a graph launches no Spark job; ``spread_mc`` on it, one."""
+    sc, group = spark.sparkContext, "test-graphs-job-count"
+    sc.setJobGroup(group, "from_edge_pairs + spread_mc")
+    try:
+        g = from_edge_pairs(spark, np.array([[0, 1], [1, 2], [2, 3]]), name="jobs", n=4)
+        spread_mc(g, [0], n_worlds=4, seed=0)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    sc._jsc.sc().listenerBus().waitUntilEmpty()
+    assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
 
 
 def test_degree_table_matches_duckdb(small_graph):

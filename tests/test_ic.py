@@ -1,10 +1,10 @@
 """Tests for the IC diffusion engine — exact spreads on Fig. 1, MC vs
 exact enumeration on tiny graphs, and reachability vs a DuckDB
 recursive-CTE oracle."""
+import dataclasses
+
 import numpy as np
-import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.diffusion.ic import (
     active_nodes,
@@ -59,8 +59,7 @@ def test_reachability_matches_duckdb_recursive(spark):
     )
     g = from_edge_pairs(spark, pairs, name="reach", n=7)
     # force p=1 on every edge
-    ones = g.edges.select("src", "dst", F.lit(1.0).alias("p"))
-    g.edges = ones.persist()
+    g = dataclasses.replace(g, p=np.ones(g.m))
     spark_df = (
         active_nodes(g, [0], n_worlds=1, seed=0).select("node").distinct()
     )
