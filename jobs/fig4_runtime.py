@@ -6,7 +6,7 @@ from repro.graphs.generator import NETWORK_SPECS, load_network
 if __name__ == "__main__":
     spark = get_spark("fig4")
     graphs = [load_network(spark, n) for n in NETWORK_SPECS]
-    df = runtime_comparison(graphs, k=10)
+    df = runtime_comparison(graphs)
     print("== Fig. 4: allocation running time (s), configuration 1 ==")
     print(df.to_string(index=False))
     spark.stop()

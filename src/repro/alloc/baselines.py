@@ -34,18 +34,14 @@ def item_disj(
     total = int(sum(budgets))
     res = imm(graph, total, eps=eps, ell=ell, seed=seed)
     ranked = list(res.seeds)
-    allocation: dict[int, int] = {}
     seeds_per_item: dict[int, list[int]] = {}
     order = sorted(range(len(budgets)), key=lambda j: -budgets[j])
     pos = 0
     for item in order:
         b = int(budgets[item])
-        chosen = ranked[pos : pos + b]
+        seeds_per_item[item] = ranked[pos : pos + b]
         pos += b
-        seeds_per_item[item] = chosen
-        for v in chosen:
-            allocation[v] = allocation.get(v, 0) | (1 << item)
-    return AllocationResult(allocation, seeds_per_item, n_rr=res.n_rr)
+    return AllocationResult(seeds_per_item, n_rr=res.n_rr)
 
 
 def _min_bundle(det_util: np.ndarray, items: list[int], rem: dict[int, int]) -> int:
@@ -76,7 +72,6 @@ def bundle_disj(
     rem = {j: int(b) for j, b in enumerate(budgets)}
     items = sorted(rem, key=lambda j: -budgets[j])
     bundles: list[tuple[int, list[int]]] = []   # (mask, seed nodes)
-    allocation: dict[int, int] = {}
     seeds_per_item: dict[int, list[int]] = {j: [] for j in rem}
     used: set[int] = set()
     n_rr = 0
@@ -102,8 +97,6 @@ def bundle_disj(
         for j in members:
             rem[j] -= b_bundle
             seeds_per_item[j].extend(nodes)
-        for v in nodes:
-            allocation[v] = allocation.get(v, 0) | mask
     # Leftover budgets: reuse earlier bundles' seeds, then fresh seeds.
     for j in items:
         for mask, nodes in bundles:
@@ -114,12 +107,8 @@ def bundle_disj(
             take = nodes[: rem[j]]
             rem[j] -= len(take)
             seeds_per_item[j].extend(take)
-            for v in take:
-                allocation[v] = allocation.get(v, 0) | (1 << j)
         if rem[j] > 0:
             nodes = fresh_seeds(rem[j])
             rem[j] = 0
             seeds_per_item[j].extend(nodes)
-            for v in nodes:
-                allocation[v] = allocation.get(v, 0) | (1 << j)
-    return AllocationResult(allocation, seeds_per_item, n_rr=n_rr)
+    return AllocationResult(seeds_per_item, n_rr=n_rr)

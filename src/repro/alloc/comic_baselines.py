@@ -26,7 +26,7 @@ import numpy as np
 
 from repro.alloc.greedy_wm import AllocationResult
 from repro.core.utility import UtilityModel
-from repro.diffusion.epic import allocation_from_pairs, final_adoptions
+from repro.diffusion.epic import final_adoptions
 from repro.diffusion.ic import reached
 from repro.graphs.generator import SocialGraph
 from repro.im.imm import imm
@@ -69,12 +69,6 @@ def _covered_rr_seeds(
     return seeds
 
 
-def _to_allocation(seeds1: list[int], seeds2: list[int]) -> dict[int, int]:
-    return allocation_from_pairs(
-        [(v, 0) for v in seeds1] + [(v, 1) for v in seeds2]
-    )
-
-
 def rr_sim_plus(
     graph: SocialGraph,
     model: UtilityModel,
@@ -99,11 +93,7 @@ def rr_sim_plus(
     seeds1 = _covered_rr_seeds(
         graph, b1, node_probs, n_rr=base.n_rr, seed=seed + 11
     )
-    return AllocationResult(
-        allocation=_to_allocation(seeds1, seeds2),
-        seeds_per_item={0: seeds1, 1: seeds2},
-        n_rr=2 * base.n_rr,
-    )
+    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=2 * base.n_rr)
 
 
 def rr_cim(
@@ -132,7 +122,7 @@ def rr_cim(
         adopt = final_adoptions(
             graph,
             model,
-            _to_allocation(seeds1, seeds2),
+            AllocationResult({0: seeds1, 1: seeds2}).allocation,
             n_worlds=n_worlds,
             seed=seed + 23,
         )
@@ -143,8 +133,4 @@ def rr_cim(
     scores = {tag: item1_adoptions(s2) for tag, s2 in candidates.items()}
     best = max(scores, key=scores.get)
     seeds2 = candidates[best]
-    return AllocationResult(
-        allocation=_to_allocation(seeds1, seeds2),
-        seeds_per_item={0: seeds1, 1: seeds2},
-        n_rr=3 * base.n_rr,
-    )
+    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=3 * base.n_rr)

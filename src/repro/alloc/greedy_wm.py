@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.diffusion.epic import Allocation
+from repro.diffusion.epic import allocation_from_pairs
 from repro.graphs.generator import SocialGraph
 from repro.im.primm import PrimmResult, primm
 
@@ -22,9 +22,15 @@ from repro.im.primm import PrimmResult, primm
 class AllocationResult:
     """An allocation plus provenance for runtime accounting."""
 
-    allocation: dict[int, int]     # node -> itemset bitmask
     seeds_per_item: dict[int, list[int]]
     n_rr: int = 0                  # RR sets generated (0 for RR-free algos)
+
+    @property
+    def allocation(self) -> dict[int, int]:
+        """node -> itemset bitmask, nodes in ``seeds_per_item`` order."""
+        return allocation_from_pairs(
+            (v, item) for item, seeds in self.seeds_per_item.items() for v in seeds
+        )
 
 
 def greedy_wm(
@@ -35,15 +41,8 @@ def greedy_wm(
     ell: float = 1.0,
     seed: int = 0,
 ) -> AllocationResult:
-    """Algorithm 1. Returns node→mask with top-``b_i`` seeds per item."""
+    """Algorithm 1: item ``i`` gets the top-``b_i`` seeds of one PRIMM list."""
     res: PrimmResult = primm(graph, list(budgets), eps=eps, ell=ell, seed=seed)
-    allocation: dict[int, int] = {}
-    seeds_per_item: dict[int, list[int]] = {}
-    for item, b in enumerate(budgets):
-        chosen = res.seeds[: int(b)]
-        seeds_per_item[item] = chosen
-        for v in chosen:
-            allocation[v] = allocation.get(v, 0) | (1 << item)
     return AllocationResult(
-        allocation=allocation, seeds_per_item=seeds_per_item, n_rr=res.n_rr
+        {item: res.seeds[: int(b)] for item, b in enumerate(budgets)}, n_rr=res.n_rr
     )

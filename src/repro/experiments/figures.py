@@ -6,68 +6,110 @@ per (network, configuration, budget, algorithm) — so the paper's claims
 can be diffed in EXPERIMENTS.md. Budgets are scaled to the stand-in
 network sizes (see DESIGN.md); paper budgets are noted per harness.
 
-greedyWM and item-disj are utility-agnostic, so their allocations are
-cached per (graph, budget vector) across configurations; welfare for all
-algorithms of a configuration is estimated in ONE multi-scenario EPIC
-job with common random numbers.
+Every welfare table comes from ``welfare_table``: all algorithms of a
+configuration are estimated in ONE multi-scenario EPIC job with common
+random numbers, and each is reported with its paired difference from
+greedyWM at the same budget point.
 """
 from __future__ import annotations
 
 import time
-from typing import Callable
+from functools import cache, partial
 
 import numpy as np
 import pandas as pd
 
 from repro.alloc.baselines import bundle_disj, item_disj
 from repro.alloc.comic_baselines import rr_cim, rr_sim_plus
-from repro.alloc.greedy_wm import greedy_wm
+from repro.alloc.greedy_wm import AllocationResult, greedy_wm
 from repro.core import configs
 from repro.diffusion.epic import simulate_welfare_multi
 from repro.graphs.generator import SocialGraph
 
 EPS, ELL = 0.5, 1.0
+N_WORLDS, SEED = 8, 0
+N_ITEMS = 10                        # Figs. 5 and 7(c)/8(c)
+SKEW_FRACS = (0.2, 0.02)            # configs 8/9: max and min budget share of the total
+COMIC_POINT = 1                     # Fig. 3: the one budget point RR-SIM⁺/RR-CIM run at
+COMIC_SKIPPED = ("twitter-lite",)   # Fig. 4: the paper's >6h Com-IC timeout on Twitter
+FIG4_CONFIG = 1
+ALGORITHMS = ("greedyWM", "item-disj", "bundle-disj", "RR-SIM+", "RR-CIM")
+AGNOSTIC = ALGORITHMS[:2]           # utility-agnostic: one allocation per budget vector
+
+#: ``(algorithm, point) -> (allocation, seconds)``. A point is a tuple of
+#: ``(column, value)`` pairs, the budget point's columns in the table.
+Runs = dict[tuple[str, tuple], tuple[AllocationResult, float]]
 
 
-def _timed(fn: Callable, *args, **kwargs):
+def _point(**columns) -> tuple:
+    return tuple(columns.items())
+
+
+def _allocate(graph: SocialGraph, model, name: str, budgets) -> tuple[AllocationResult, float]:
+    """Run allocator ``name`` at ``budgets`` (one per item): the
+    allocation and its wall time in seconds."""
+    b, kw = list(budgets), {"eps": EPS, "ell": ELL, "seed": SEED}
+    run = {
+        "greedyWM": lambda: greedy_wm(graph, b, **kw),
+        "item-disj": lambda: item_disj(graph, b, **kw),
+        "bundle-disj": lambda: bundle_disj(graph, model, b, **kw),
+        "RR-SIM+": lambda: rr_sim_plus(graph, model, *b, **kw),
+        "RR-CIM": lambda: rr_cim(graph, model, *b, **kw),
+    }[name]
     t0 = time.perf_counter()
-    out = fn(*args, **kwargs)
-    return out, time.perf_counter() - t0
+    res = run()
+    return res, time.perf_counter() - t0
 
 
-class AllocationCache:
-    """Memoize utility-agnostic allocations per (graph, budget vector)."""
-
-    def __init__(self) -> None:
-        self._cache: dict = {}
-
-    def get(self, algo: str, graph: SocialGraph, budgets: tuple[int, ...], fn):
-        key = (algo, graph.name, budgets)
-        if key not in self._cache:
-            self._cache[key] = _timed(fn)
-        return self._cache[key]
+def _allocator(graph: SocialGraph):
+    """``_allocate`` on ``graph``, running greedyWM and item-disj once per
+    budget vector across configurations (their timing is the first run's)."""
+    agnostic = cache(partial(_allocate, graph, None))
+    return lambda model, name, bv: (agnostic(name, tuple(bv)) if name in AGNOSTIC
+                                    else _allocate(graph, model, name, bv))
 
 
-def _vs_greedy(welfare: dict, key: str, n_worlds: int) -> dict:
-    """``vs_greedyWM`` ± ``se``: the paired per-world welfare difference of
-    ``welfare[key]`` from greedyWM's at the same budget point, for keys
-    ``"<algorithm>|<point>"``."""
-    base = welfare["greedyWM|" + key.partition("|")[2]]
-    diff = welfare[key].per_world_welfare - base.per_world_welfare
-    return {"vs_greedyWM": round(diff.mean(), 1),
-            "se": round(diff.std(ddof=1) / np.sqrt(n_worlds), 1)}
+def welfare_table(graph: SocialGraph, model, runs: Runs) -> pd.DataFrame:
+    """One row per entry of ``runs``, in its order: the point's columns,
+    the algorithm, welfare, adoptions, ``vs_greedyWM`` ± ``se`` (the paired
+    per-world welfare difference from greedyWM at the same point, which
+    every point must have) and the allocation time.
+
+    All allocations share one ``simulate_welfare_multi`` call, so they see
+    the same worlds. The call's welfare sums depend on the allocations'
+    order (``epic._loop_order``), so ``runs`` order fixes their last bits.
+    """
+    welfare = simulate_welfare_multi(
+        graph, model, {key: res.allocation for key, (res, _) in runs.items()},
+        n_worlds=N_WORLDS, seed=SEED,
+    )
+    rows = []
+    for (name, point), (_, t) in runs.items():
+        r = welfare[name, point]
+        diff = r.per_world_welfare - welfare["greedyWM", point].per_world_welfare
+        rows.append({
+            **dict(point),
+            "algorithm": name,
+            "welfare": round(r.welfare, 1),
+            "adoptions": round(r.adoptions, 1),
+            "vs_greedyWM": round(diff.mean(), 1),
+            "se": round(diff.std(ddof=1) / np.sqrt(N_WORLDS), 1),
+            "alloc_time_s": round(t, 1),
+        })
+    return pd.DataFrame(rows)
 
 
-def uniform_budgets(n_items: int, k: int) -> list[int]:
-    return [k] * n_items
+def _timing_row(graph: SocialGraph, model, name: str, budgets, **columns) -> dict:
+    res, t = _allocate(graph, model, name, budgets)
+    return {"network": graph.name, **columns, "algorithm": name,
+            "time_s": round(t, 1), "note": f"n_rr={res.n_rr}"}
 
 
-def skewed_budgets(n_items: int, total: int, max_frac=0.2, min_frac=0.02) -> list[int]:
+def skewed_budgets(n_items: int, total: int) -> list[int]:
     """Configs 8/9 style: max budget = 20% of total, min = 2%, rest even.
 
     Returned non-increasing (item 0 = max budget, item n−1 = min)."""
-    mx = max(1, round(total * max_frac))
-    mn = max(1, round(total * min_frac))
+    mx, mn = (max(1, round(total * f)) for f in SKEW_FRACS)
     rest = total - mx - mn
     n_mid = n_items - 2
     mid = [rest // n_mid] * n_mid
@@ -83,282 +125,98 @@ def two_item_welfare(
     uniform_ks: list[int],
     nonuniform_b1: int,
     nonuniform_b2s: list[int],
-    comic_budget_index: int = 1,
-    n_worlds: int = 8,
-    seed: int = 0,
-    cache: AllocationCache | None = None,
 ) -> pd.DataFrame:
     """Figs. 3 & 8(a,b): welfare of the 5 algorithms, 2-item configs.
 
     Paper setup: uniform budgets k = 10..50, nonuniform b1 = 70 with
     b2 = 30..110, Douban-Movie; scaled here to the lite networks. The
     Com-IC baselines (RR-SIM⁺/RR-CIM) are run at one budget point per
-    config (index ``comic_budget_index``) to bound runtime, as in the
-    paper's own timeout handling.
+    config (index ``COMIC_POINT``) to bound runtime, as in the paper's own
+    timeout handling.
     """
-    cache = cache or AllocationCache()
-    rows = []
+    allocate, tables = _allocator(graph), []
     for cfg in config_ids:
-        model = configs.two_item_model(cfg)
-        style = configs.TABLE3_BUDGET_STYLE[cfg]
-        if style == "uniform":
-            budget_vectors = [(k, k) for k in uniform_ks]
-        else:
-            # paper: i1's budget fixed, i2's swept (past i1's at the top end)
-            budget_vectors = [(nonuniform_b1, b2) for b2 in nonuniform_b2s]
-        allocations, meta = {}, {}
-        for bi, bv in enumerate(budget_vectors):
-            b1, b2 = bv
-            gw, t_gw = cache.get(
-                "greedyWM", graph, bv, lambda: greedy_wm(graph, list(bv), eps=EPS, ell=ELL, seed=seed)
-            )
-            idj, t_id = cache.get(
-                "item-disj", graph, bv, lambda: item_disj(graph, list(bv), eps=EPS, ell=ELL, seed=seed)
-            )
-            bdj, t_bd = _timed(
-                bundle_disj, graph, model, list(bv), eps=EPS, ell=ELL, seed=seed
-            )
-            algs = {"greedyWM": (gw, t_gw), "item-disj": (idj, t_id), "bundle-disj": (bdj, t_bd)}
-            if bi == comic_budget_index:
-                rsp, t_rsp = _timed(
-                    rr_sim_plus, graph, model, b1, b2, eps=EPS, ell=ELL, seed=seed
-                )
-                rcm, t_rcm = _timed(
-                    rr_cim, graph, model, b1, b2, eps=EPS, ell=ELL, seed=seed
-                )
-                algs["RR-SIM+"] = (rsp, t_rsp)
-                algs["RR-CIM"] = (rcm, t_rcm)
-            for name, (res, t) in algs.items():
-                key = f"{name}|{bi}"
-                allocations[key] = res.allocation
-                meta[key] = (name, bv, t)
-        welfare = simulate_welfare_multi(
-            graph, model, allocations, n_worlds=n_worlds, seed=seed
-        )
-        for key, r in welfare.items():
-            name, bv, t = meta[key]
-            rows.append(
-                {
-                    "config": cfg,
-                    "network": graph.name,
-                    "budget_style": style,
-                    "b1": bv[0],
-                    "b2": bv[1],
-                    "algorithm": name,
-                    "welfare": round(r.welfare, 1),
-                    "adoptions": round(r.adoptions, 1),
-                    **_vs_greedy(welfare, key, n_worlds),
-                    "alloc_time_s": round(t, 1),
-                }
-            )
-    return pd.DataFrame(rows)
+        model, style = configs.two_item_model(cfg), configs.TABLE3_BUDGET_STYLE[cfg]
+        # paper: nonuniform fixes i1's budget and sweeps i2's (past i1's at the top end)
+        vectors = ([(k, k) for k in uniform_ks] if style == "uniform"
+                   else [(nonuniform_b1, b2) for b2 in nonuniform_b2s])
+        runs = {}
+        for bi, bv in enumerate(vectors):
+            point = _point(config=cfg, network=graph.name, budget_style=style, b1=bv[0], b2=bv[1])
+            for name in ALGORITHMS if bi == COMIC_POINT else ALGORITHMS[:3]:
+                runs[name, point] = allocate(model, name, bv)
+        tables.append(welfare_table(graph, model, runs))
+    return pd.concat(tables, ignore_index=True)
 
 
-def runtime_comparison(
-    graphs: list[SocialGraph],
-    *,
-    k: int = 10,
-    config_id: int = 1,
-    skip_comic_for: tuple[str, ...] = ("twitter-lite",),
-    seed: int = 0,
-) -> pd.DataFrame:
-    """Fig. 4: allocation running time of the 5 algorithms, config 1.
+def runtime_comparison(graphs: list[SocialGraph]) -> pd.DataFrame:
+    """Fig. 4: allocation running time of the 5 algorithms, config 1,
+    k = 10 per item.
 
     The paper times RR-SIM⁺/RR-CIM out after 6h on Twitter; we likewise
     skip them on ``twitter-lite`` and mark the rows 'timeout'.
     """
-    model = configs.two_item_model(config_id)
-    rows = []
+    model, rows = configs.two_item_model(FIG4_CONFIG), []
     for g in graphs:
-        runs = {
-            "greedyWM": lambda: greedy_wm(g, [k, k], eps=EPS, ell=ELL, seed=seed),
-            "item-disj": lambda: item_disj(g, [k, k], eps=EPS, ell=ELL, seed=seed),
-            "bundle-disj": lambda: bundle_disj(g, model, [k, k], eps=EPS, ell=ELL, seed=seed),
-            "RR-SIM+": lambda: rr_sim_plus(g, model, k, k, eps=EPS, ell=ELL, seed=seed),
-            "RR-CIM": lambda: rr_cim(g, model, k, k, eps=EPS, ell=ELL, seed=seed),
-        }
-        for name, fn in runs.items():
-            if name in ("RR-SIM+", "RR-CIM") and g.name in skip_comic_for:
-                rows.append(
-                    {"network": g.name, "algorithm": name, "time_s": None, "note": "skipped (paper: >6h timeout on Twitter)"}
-                )
-                continue
-            res, t = _timed(fn)
-            rows.append(
-                {"network": g.name, "algorithm": name, "time_s": round(t, 1), "note": f"n_rr={res.n_rr}"}
-            )
-    return pd.DataFrame(rows)
-
-
-def multi_item_welfare(
-    graph: SocialGraph,
-    *,
-    config_ids: list[int] = (7, 8, 9, 10),
-    totals: list[int] = (50, 80, 100),
-    n_items: int = 10,
-    n_worlds: int = 8,
-    seed: int = 0,
-    cache: AllocationCache | None = None,
-) -> pd.DataFrame:
-    """Fig. 5: welfare of greedyWM / item-disj / bundle-disj, configs
-    7–10, total budget swept (paper: 500..1000 on the full networks);
-    ``vs_greedyWM`` ± ``se`` is the paired per-world difference from
-    greedyWM at the same total."""
-    cache = cache or AllocationCache()
-    rows = []
-    for cfg in config_ids:
-        model = configs.multi_item_model(cfg, n_items)
-        allocations, meta = {}, {}
-        for total in totals:
-            if cfg in (7, 10):
-                per = max(1, total // n_items)
-                bv = tuple([per] * n_items)
+        for name in ALGORITHMS:
+            if name in ALGORITHMS[3:] and g.name in COMIC_SKIPPED:
+                rows.append({"network": g.name, "algorithm": name, "time_s": None,
+                             "note": "skipped (paper: >6h timeout on Twitter)"})
             else:
-                bv = tuple(skewed_budgets(n_items, total))
-            gw, t_gw = cache.get(
-                "greedyWM", graph, bv, lambda: greedy_wm(graph, list(bv), eps=EPS, ell=ELL, seed=seed)
-            )
-            idj, t_id = cache.get(
-                "item-disj", graph, bv, lambda: item_disj(graph, list(bv), eps=EPS, ell=ELL, seed=seed)
-            )
-            bdj, t_bd = _timed(
-                bundle_disj, graph, model, list(bv), eps=EPS, ell=ELL, seed=seed
-            )
-            for name, (res, t) in {
-                "greedyWM": (gw, t_gw),
-                "item-disj": (idj, t_id),
-                "bundle-disj": (bdj, t_bd),
-            }.items():
-                key = f"{name}|{total}"
-                allocations[key] = res.allocation
-                meta[key] = (name, total, t)
-        welfare = simulate_welfare_multi(
-            graph, model, allocations, n_worlds=n_worlds, seed=seed
-        )
-        for key, r in welfare.items():
-            name, total, t = meta[key]
-            rows.append(
-                {
-                    "config": cfg,
-                    "network": graph.name,
-                    "total_budget": total,
-                    "algorithm": name,
-                    "welfare": round(r.welfare, 1),
-                    "adoptions": round(r.adoptions, 1),
-                    **_vs_greedy(welfare, key, n_worlds),
-                    "alloc_time_s": round(t, 1),
-                }
-            )
+                rows.append(_timing_row(g, model, name, [10, 10]))
     return pd.DataFrame(rows)
 
 
-def items_vs_runtime(
-    graph: SocialGraph,
-    *,
-    item_counts: list[int] = (1, 4, 7, 10),
-    k: int = 20,
-    seed: int = 0,
-) -> pd.DataFrame:
+def multi_item_welfare(graph: SocialGraph) -> pd.DataFrame:
+    """Fig. 5: welfare of greedyWM / item-disj / bundle-disj, configs
+    7–10, 10 items, total budget 50 / 80 / 100 (paper: 500..1000 on the
+    full networks)."""
+    allocate, tables = _allocator(graph), []
+    for cfg in (7, 8, 9, 10):
+        model = configs.multi_item_model(cfg, N_ITEMS)
+        runs = {}
+        for total in (50, 80, 100):
+            bv = ([max(1, total // N_ITEMS)] * N_ITEMS if cfg in (7, 10)
+                  else skewed_budgets(N_ITEMS, total))
+            point = _point(config=cfg, network=graph.name, total_budget=total)
+            for name in ALGORITHMS[:3]:
+                runs[name, point] = allocate(model, name, bv)
+        tables.append(welfare_table(graph, model, runs))
+    return pd.concat(tables, ignore_index=True)
+
+
+def items_vs_runtime(graph: SocialGraph, *, item_counts: list[int], k: int) -> pd.DataFrame:
     """Fig. 6: allocation time vs number of items, config 7, budget k
     per item (paper: k = 50, 1–10 items, Twitter)."""
-    rows = []
-    for s in item_counts:
-        model = configs.additive_model(s)
-        bv = [k] * s
-        for name, fn in {
-            "greedyWM": lambda: greedy_wm(graph, bv, eps=EPS, ell=ELL, seed=seed),
-            "item-disj": lambda: item_disj(graph, bv, eps=EPS, ell=ELL, seed=seed),
-            "bundle-disj": lambda: bundle_disj(graph, model, bv, eps=EPS, ell=ELL, seed=seed),
-        }.items():
-            _res, t = _timed(fn)
-            rows.append(
-                {"network": graph.name, "n_items": s, "algorithm": name, "time_s": round(t, 1)}
-            )
-    return pd.DataFrame(rows)
+    return pd.DataFrame([
+        _timing_row(graph, configs.additive_model(s), name, [k] * s, n_items=s)
+        for s in item_counts for name in ALGORITHMS[:3]
+    ])
 
 
-def real_params_welfare(
-    graph: SocialGraph,
-    *,
-    totals: list[int] = (20, 60, 100),
-    n_worlds: int = 8,
-    seed: int = 0,
-) -> pd.DataFrame:
+def real_params_welfare(graph: SocialGraph, *, totals: list[int]) -> pd.DataFrame:
     """Fig. 7(a,b): greedyWM vs bundle-disj under the learned Table 5
     utilities; budget split 30/30/20/10/10% over (ps, c, g1, g2, g3)
     (paper totals 100..500). item-disj is omitted — every single item has
     negative deterministic utility, so its welfare is 0 (§6.4.1)."""
-    model = configs.real_model()
-    fracs = [0.3, 0.3, 0.2, 0.1, 0.1]
-    rows = []
-    allocations, meta = {}, {}
+    model, runs = configs.real_model(), {}
     for total in totals:
-        bv = [max(1, round(total * f)) for f in fracs]
-        gw, t_gw = _timed(greedy_wm, graph, bv, eps=EPS, ell=ELL, seed=seed)
-        bdj, t_bd = _timed(bundle_disj, graph, model, bv, eps=EPS, ell=ELL, seed=seed)
-        for name, (res, t) in {"greedyWM": (gw, t_gw), "bundle-disj": (bdj, t_bd)}.items():
-            key = f"{name}|{total}"
-            allocations[key] = res.allocation
-            meta[key] = (name, total, t)
-    welfare = simulate_welfare_multi(graph, model, allocations, n_worlds=n_worlds, seed=seed)
-    for key, r in welfare.items():
-        name, total, t = meta[key]
-        rows.append(
-            {
-                "network": graph.name,
-                "total_budget": total,
-                "algorithm": name,
-                "welfare": round(r.welfare, 1),
-                "adoptions": round(r.adoptions, 2),
-                "alloc_time_s": round(t, 1),
-            }
-        )
-    return pd.DataFrame(rows)
+        bv = [max(1, round(total * f)) for f in (0.3, 0.3, 0.2, 0.1, 0.1)]
+        for name in ("greedyWM", "bundle-disj"):
+            runs[name, _point(network=graph.name, total_budget=total)] = _allocate(graph, model, name, bv)
+    return welfare_table(graph, model, runs)
 
 
-def budget_skew(
-    graph: SocialGraph,
-    *,
-    total: int = 50,
-    n_items: int = 10,
-    n_worlds: int = 8,
-    seed: int = 0,
-) -> pd.DataFrame:
-    """Figs. 7(c)/8(c): greedyWM welfare + time under three budget splits
-    of a fixed total (paper: total 500). Large skew: one item takes 82%;
-    moderate: a spread of budgets; uniform: equal."""
-    model = configs.additive_model(n_items)
-    per = total // n_items
-    big = round(total * 0.82)
-    rest = (total - big) // (n_items - 1)
+def budget_skew(graph: SocialGraph) -> pd.DataFrame:
+    """Figs. 7(c)/8(c): greedyWM welfare + time under three splits of a
+    total budget of 50 over 10 items, config 7: the paper's splits of 500
+    (equal; 10, 20, …, 90; one item 82%) scaled to 50."""
+    model = configs.additive_model(N_ITEMS)
     splits = {
-        "uniform": [per] * n_items,
-        # paper's moderate vector [10,20,...,90] sums to 500; scale to `total`
-        "moderate-skew": sorted(
-            [max(1, round(w * total / 500)) for w in (10, 20, 30, 40, 50, 50, 60, 70, 80, 90)][:n_items]
-            if n_items == 10
-            else [max(1, per + (i - n_items // 2)) for i in range(n_items)],
-            reverse=True,
-        ),
-        "large-skew": sorted([big] + [max(1, rest)] * (n_items - 1), reverse=True),
+        "uniform": [5] * 10,
+        "moderate-skew": [9, 8, 7, 6, 5, 5, 4, 3, 2, 1],
+        "large-skew": [41] + [1] * 9,
     }
-    # moderate skew vector scaled so it sums ~total (paper's 10..90 sums to 500)
-    allocations, meta = {}, {}
-    for name, bv in splits.items():
-        gw, t = _timed(greedy_wm, graph, bv, eps=EPS, ell=ELL, seed=seed)
-        allocations[name] = gw.allocation
-        meta[name] = (bv, t)
-    welfare = simulate_welfare_multi(graph, model, allocations, n_worlds=n_worlds, seed=seed)
-    rows = []
-    for name, r in welfare.items():
-        bv, t = meta[name]
-        rows.append(
-            {
-                "split": name,
-                "budgets": str(bv),
-                "total": sum(bv),
-                "welfare": round(r.welfare, 1),
-                "time_s": round(t, 1),
-            }
-        )
-    return pd.DataFrame(rows)
+    runs = {("greedyWM", _point(split=name, budgets=str(bv), total=sum(bv))):
+            _allocate(graph, model, "greedyWM", bv) for name, bv in splits.items()}
+    return welfare_table(graph, model, runs).drop(columns=["algorithm", "vs_greedyWM", "se"])

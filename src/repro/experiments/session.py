@@ -8,8 +8,12 @@ from pyspark.sql import SparkSession
 
 
 def get_spark(app: str = "repro-job") -> SparkSession:
-    """A local session configured like the test fixture (broadcast joins
-    disabled so shuffle paths are exercised)."""
+    """A local session for the jobs and the benchmark.
+
+    No join is left on the engine path, so the broadcast-join threshold
+    does not affect it. ``spark.sql.shuffle.partitions`` does: EPIC orders its
+    welfare sums by it (``epic._loop_order``), so changing it moves welfare
+    in the last bits."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         "--master local[*] --driver-memory 8g "

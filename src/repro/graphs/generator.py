@@ -49,7 +49,7 @@ class SocialGraph:
     @cached_property
     def edges(self) -> DataFrame:
         """The edges as a Spark DataFrame ``(src, dst, p)``, made on first
-        use, for SQL checks and degree tables; the engine reads ``csr``."""
+        use, for SQL checks; the engine reads ``csr``."""
         pdf = pd.DataFrame({"src": self.src, "dst": self.dst, "p": self.p})
         return self.spark.createDataFrame(pdf, "src long, dst long, p double")
 

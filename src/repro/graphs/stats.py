@@ -1,9 +1,5 @@
-"""Network statistics (Table 2) from the edge arrays, and per-node degrees
-as a Spark aggregation over the ``edges`` view."""
+"""Network statistics (Table 2) from the edge arrays."""
 from __future__ import annotations
-
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.graphs.generator import SocialGraph
 
@@ -25,17 +21,3 @@ def network_stats(graph: SocialGraph) -> dict:
         "type": "directed" if graph.directed else "undirected",
     }
 
-
-def degree_table(graph: SocialGraph) -> DataFrame:
-    """Per-node (in_degree, out_degree) as a Spark DataFrame."""
-    e = graph.edges
-    outd = e.groupBy(F.col("src").alias("node")).agg(F.count("*").alias("out_degree"))
-    ind = e.groupBy(F.col("dst").alias("node")).agg(F.count("*").alias("in_degree"))
-    return (
-        outd.join(ind, "node", "outer")
-        .select(
-            "node",
-            F.coalesce("in_degree", F.lit(0)).alias("in_degree"),
-            F.coalesce("out_degree", F.lit(0)).alias("out_degree"),
-        )
-    )

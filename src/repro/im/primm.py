@@ -53,7 +53,6 @@ class PrimmResult:
     seeds: list[int]               # ordered, length b̄ — prefixes serve all budgets
     n_rr: int
     coverage: np.ndarray = field(repr=False)   # F_R over prefixes of `seeds`
-    rr: RRCollection = field(repr=False)
 
 
 def primm(
@@ -112,4 +111,4 @@ def primm(
     if s < len(b):                                  # lines 22-25 fallback
         top_up(lambda_star(n, b[s], eps, ell_p) / lb)
     seeds, coverage = rr.node_selection(b[0])       # line 26: b̄ = max budget
-    return PrimmResult(seeds=seeds, n_rr=len(rr), coverage=coverage, rr=rr)
+    return PrimmResult(seeds=seeds, n_rr=len(rr), coverage=coverage)

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.alloc.baselines import bundle_disj, item_disj
-from repro.alloc.greedy_wm import greedy_wm
+from repro.alloc.greedy_wm import AllocationResult, greedy_wm
 from repro.core import configs
 from repro.core.itemsets import popcount
 from repro.diffusion.epic import simulate_welfare_multi
@@ -13,6 +13,13 @@ from repro.graphs.generator import fig1_graph, power_law_graph
 @pytest.fixture(scope="module")
 def graph(spark):
     return power_law_graph(spark, name="pl-alloc", n=250, m_target=1500, seed=21)
+
+
+def test_allocation_derived_from_seed_lists_in_their_order():
+    """node -> mask ORs each node's items; nodes come in ``seeds_per_item``
+    order, the build order EPIC reads when no cascade step touches a row."""
+    res = AllocationResult({1: [5, 6], 0: [6, 7]})
+    assert list(res.allocation.items()) == [(5, 0b10), (6, 0b11), (7, 0b01)]
 
 
 # ---- greedyWM ----------------------------------------------------------

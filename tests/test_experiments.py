@@ -1,8 +1,15 @@
 """Tests for the table/figure harnesses (schemas and paper-diff checks)."""
-import pandas as pd
+import dataclasses
+
+import numpy as np
 import pytest
 
-from repro.experiments.figures import skewed_budgets, uniform_budgets
+from repro.alloc.greedy_wm import AllocationResult
+from repro.core import configs
+from repro.diffusion.epic import allocation_from_pairs, simulate_welfare_multi
+from repro.experiments.figures import N_WORLDS, SEED, skewed_budgets, welfare_table
+from repro.graphs.generator import fig1_graph
+from tests.test_epic import ALT, GREEDY
 from repro.experiments.tables import (
     PAPER_TABLE2,
     PAPER_TABLE3_GAP,
@@ -56,10 +63,6 @@ def test_paper_gap_reference_covers_all_configs():
     assert set(PAPER_TABLE3_GAP) == {1, 2, 3, 4, 5, 6}
 
 
-def test_uniform_budgets():
-    assert uniform_budgets(4, 7) == [7, 7, 7, 7]
-
-
 def test_skewed_budgets_sum_and_shape():
     bv = skewed_budgets(10, 100)
     assert sum(bv) == 100
@@ -71,3 +74,35 @@ def test_skewed_budgets_small_total():
     bv = skewed_budgets(10, 50)
     assert sum(bv) == 50
     assert bv[0] == 10 and bv[-1] == 1
+
+
+def _result(pairs) -> AllocationResult:
+    seeds: dict[int, list[int]] = {}
+    for v, item in pairs:
+        seeds.setdefault(item, []).append(v)
+    return AllocationResult(seeds)
+
+
+def test_welfare_table_pairs_every_row_with_greedy(spark):
+    """Example 1's two allocations on Figure 1's edges at p = 0.5 (so the
+    worlds differ): each row's ``vs_greedyWM`` ± ``se`` is the paired
+    per-world difference of a direct EPIC call, in input order."""
+    fig1 = fig1_graph(spark)
+    g = dataclasses.replace(fig1, name="fig1-half", p=np.full(fig1.m, 0.5))
+    model, point = configs.example_model(), (("network", g.name), ("b", 3))
+    table = welfare_table(g, model, {("alt", point): (_result(ALT), 1.0),
+                                     ("greedyWM", point): (_result(GREEDY), 2.0)})
+    direct = simulate_welfare_multi(
+        g, model, {"alt": allocation_from_pairs(ALT), "greedyWM": allocation_from_pairs(GREEDY)},
+        n_worlds=N_WORLDS, seed=SEED,
+    )
+    diff = direct["alt"].per_world_welfare - direct["greedyWM"].per_world_welfare
+    se = diff.std(ddof=1) / np.sqrt(N_WORLDS)
+    assert se > 0
+    assert list(table.columns) == ["network", "b", "algorithm", "welfare", "adoptions",
+                                   "vs_greedyWM", "se", "alloc_time_s"]
+    assert table["algorithm"].tolist() == ["alt", "greedyWM"]
+    assert table["welfare"].tolist() == [round(direct[k].welfare, 1) for k in ("alt", "greedyWM")]
+    assert table["vs_greedyWM"].tolist() == [round(diff.mean(), 1), 0.0]
+    assert table["se"].tolist() == [round(se, 1), 0.0]
+    assert table["alloc_time_s"].tolist() == [1.0, 2.0]

@@ -11,7 +11,7 @@ from repro.graphs.generator import (
     from_edge_pairs,
     power_law_graph,
 )
-from repro.graphs.stats import degree_table, network_stats
+from repro.graphs.stats import network_stats
 from repro.oracle import assert_equivalent
 
 
@@ -69,23 +69,6 @@ def test_build_and_spread_launch_one_spark_job(spark):
     assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
 
 
-def test_degree_table_matches_duckdb(small_graph):
-    """Spark degree aggregation vs DuckDB SQL over the same edge list."""
-    spark_df = degree_table(small_graph).select("node", "in_degree", "out_degree")
-    edges = small_graph.edges.select("src", "dst")
-    assert_equivalent(
-        spark_df,
-        """
-        WITH nodes AS (SELECT src AS node FROM edges UNION SELECT dst FROM edges)
-        SELECT n.node,
-               (SELECT count(*) FROM edges e WHERE e.dst = n.node) AS in_degree,
-               (SELECT count(*) FROM edges e WHERE e.src = n.node) AS out_degree
-        FROM nodes n
-        """,
-        edges=edges,
-    )
-
-
 def test_edge_count_matches_duckdb(small_graph):
     spark_df = small_graph.edges.agg(F.count("*").alias("m"))
     assert_equivalent(
@@ -117,8 +100,8 @@ def test_generator_deterministic(spark):
 
 def test_power_law_has_hubs(small_graph):
     """Heavy-tailed: max degree far above average (social-network shape)."""
-    deg = degree_table(small_graph).toPandas()
-    assert deg["out_degree"].max() > 5 * deg["out_degree"].mean()
+    deg = np.bincount(small_graph.src)
+    assert deg.max() > 5 * deg.mean()
 
 
 def test_network_stats_fields(spark):

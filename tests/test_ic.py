@@ -9,6 +9,7 @@ import pytest
 from repro.diffusion.ic import (
     active_nodes,
     exact_reachable,
+    reached,
     spread_exact_enumeration,
     spread_mc,
 )
@@ -79,11 +80,9 @@ def test_reachability_matches_duckdb_recursive(spark):
 
 def test_worlds_deterministic_in_seed(spark):
     g = er_graph(spark, name="er-det", n=60, m_target=300, seed=4)
-    a = spread_mc(g, [0, 5], n_worlds=8, seed=11)
-    b = spread_mc(g, [0, 5], n_worlds=8, seed=11)
-    c = spread_mc(g, [0, 5], n_worlds=8, seed=12)
-    assert a == b
-    assert a != c or True  # different seeds usually differ; equality allowed
+    a, b, c = (reached(g, [0, 5], n_worlds=8, seed=s) for s in (11, 11, 12))
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
+    assert not all(np.array_equal(x, y) for x, y in zip(a, c))
 
 
 def test_empty_seed_set(spark):
