@@ -59,14 +59,15 @@ def _covered_rr_seeds(
     *,
     n_rr: int,
     seed: int,
-) -> list[int]:
-    """Greedy seeds from ``n_rr`` node-prob-weighted RR sets."""
+) -> tuple[list[int], int]:
+    """Greedy seeds from ``n_rr`` node-prob-weighted RR sets, and the
+    number of sets sampled."""
     rr = RRCollection(graph.n)
     rr.extend(
         sample_rr_sets(graph, n_rr, seed=seed, node_probs=node_probs)
     )
     seeds, _ = rr.node_selection(k)
-    return seeds
+    return seeds, len(rr)
 
 
 def rr_sim_plus(
@@ -90,10 +91,10 @@ def rr_sim_plus(
     node_probs = np.clip(
         gap["q_1|0"] + prob2 * (gap["q_1|2"] - gap["q_1|0"]), 0.0, 1.0
     )
-    seeds1 = _covered_rr_seeds(
+    seeds1, n_rr1 = _covered_rr_seeds(
         graph, b1, node_probs, n_rr=base.n_rr, seed=seed + 11
     )
-    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=2 * base.n_rr)
+    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=base.n_rr + n_rr1)
 
 
 def rr_cim(
@@ -112,25 +113,20 @@ def rr_cim(
     base = imm(graph, b1, eps=eps, ell=ell, seed=seed)
     seeds1 = base.seeds[:b1]
     candidates: dict[str, list[int]] = {}
+    n_rr = base.n_rr
     for tag, q in (("lower", gap["q_2|0"]), ("upper", gap["q_2|1"])):
         node_probs = np.full(graph.n, np.clip(q, 0.0, 1.0))
-        candidates[tag] = _covered_rr_seeds(
+        candidates[tag], n_sampled = _covered_rr_seeds(
             graph, b2, node_probs, n_rr=base.n_rr, seed=seed + (13 if tag == "lower" else 17)
         )
+        n_rr += n_sampled
     # Sandwich evaluation: MC-count item-1 adoptions under each candidate.
     def item1_adoptions(seeds2: list[int]) -> float:
-        adopt = final_adoptions(
-            graph,
-            model,
-            AllocationResult({0: seeds1, 1: seeds2}).allocation,
-            n_worlds=n_worlds,
-            seed=seed + 23,
-        )
-        if not len(adopt):
-            return 0.0
-        return float((adopt["adopt"].to_numpy() & 1).sum()) / n_worlds
+        allocation = AllocationResult({0: seeds1, 1: seeds2}).allocation
+        adopt = final_adoptions(graph, model, allocation, n_worlds=n_worlds, seed=seed + 23)
+        return (adopt["adopt"] & 1).sum() / n_worlds
 
     scores = {tag: item1_adoptions(s2) for tag, s2 in candidates.items()}
     best = max(scores, key=scores.get)
     seeds2 = candidates[best]
-    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=3 * base.n_rr)
+    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=n_rr)

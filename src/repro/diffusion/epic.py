@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 import numpy as np
-import pandas as pd
 
 from repro.core.itemsets import popcount
 from repro.core.utility import UtilityModel, adoption_tables_for_worlds
@@ -56,11 +55,11 @@ def allocation_from_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
 
 def _run_simulation(
     graph, model: UtilityModel, allocations: Mapping[str, Allocation], *, n_worlds: int, seed: int,
-) -> tuple[pd.DataFrame, np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Run EPIC to a fixed point for all (allocation, world) scenarios.
 
-    Returns the final sparse state (alloc, world, node, adopt) as pandas
-    plus the (W, 2^n) per-world utility arrays.
+    Returns the final sparse state as arrays (alloc, world, node, adopt) in
+    ``_loop_order``'s row order, plus the (W, 2^n) per-world utility arrays.
     """
     rng = np.random.default_rng(seed)
     noises = np.stack([model.sample_noise(rng) for _ in range(n_worlds)])
@@ -69,7 +68,7 @@ def _run_simulation(
     rows = [(ai, w, int(v), int(m)) for ai, name in enumerate(allocations)
             for v, m in allocations[name].items() for w in range(n_worlds) if m]
     if not rows:
-        return pd.DataFrame(columns=["alloc", "world", "node", "adopt"]), util
+        return tuple(np.zeros((4, 0), np.int64)), util
     alloc, world, node, mask = np.array(rows, np.int64).T
     scen = alloc * n_worlds + world
 
@@ -84,9 +83,7 @@ def _run_simulation(
         raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
     s, v, a, t = (np.concatenate(c) for c in zip(*states))
     order = _loop_order(graph, s, v, t, max(steps), n_worlds, scen * graph.n + node)
-    alloc, world = np.divmod(s[order], n_worlds)
-    return pd.DataFrame({"alloc": alloc.astype(np.int32), "world": world.astype(np.int32),
-                         "node": v[order], "adopt": a[order].astype(np.int32)}), util
+    return (*np.divmod(s[order], n_worlds), v[order], a[order]), util
 
 
 def _loop_order(graph, scen, node, touched, steps, n_worlds: int, seed_keys) -> np.ndarray:
@@ -105,7 +102,7 @@ def _loop_order(graph, scen, node, touched, steps, n_worlds: int, seed_keys) -> 
     built = by_key[np.searchsorted(keys, seed_keys, sorter=by_key)]
     if steps == 0:
         return built
-    # a quiet superstep sorted each ``createDataFrame`` slice of the seed rows by partition
+    # a quiet superstep sorted each input slice of the seed rows by partition
     n_slices = spark.sparkContext.defaultParallelism
     batch = max(1, min(len(built) // n_slices, 1024))  # as SparkContext.parallelize batches
     slices = ((np.arange(len(built)) // batch + 1) * n_slices - 1) // -(-len(built) // batch)
@@ -121,25 +118,16 @@ def simulate_welfare_multi(
     seed: int = 0,
 ) -> dict[str, WelfareResult]:
     """Estimate ρ and α for several allocations under shared worlds."""
-    final, util = _run_simulation(
+    (alloc, world, _, adopt), util = _run_simulation(
         graph, model, allocations, n_worlds=n_worlds, seed=seed
     )
-    results: dict[str, WelfareResult] = {}
-    for ai, name in enumerate(allocations):
-        sub = final[final["alloc"] == ai] if len(final) else final
-        per_world = np.zeros(n_worlds)
-        adoptions = 0.0
-        if len(sub):
-            w = sub["world"].to_numpy()
-            a = sub["adopt"].to_numpy()
-            np.add.at(per_world, w, util[w, a])
-            adoptions = float(popcount(a).sum()) / n_worlds
-        results[name] = WelfareResult(
-            welfare=float(per_world.mean()),
-            adoptions=adoptions,
-            per_world_welfare=per_world,
-        )
-    return results
+    # bincount adds each cell's terms one by one in row order from 0.0, so
+    # ``_loop_order`` fixes the sums' last bits.
+    a, w = len(allocations), n_worlds
+    per_world = np.bincount(alloc * w + world, util[world, adopt], a * w).reshape(a, w)
+    adoptions = np.bincount(alloc, popcount(adopt), a) / w
+    return {name: WelfareResult(float(per_world[i].mean()), float(adoptions[i]), per_world[i])
+            for i, name in enumerate(allocations)}
 
 
 def simulate_welfare(
@@ -163,10 +151,10 @@ def final_adoptions(
     *,
     n_worlds: int = 8,
     seed: int = 0,
-) -> pd.DataFrame:
-    """Per-(world, node) final adoption masks — for tests and for the
-    Com-IC baselines' internal adoption-probability estimates."""
-    final, _ = _run_simulation(
+) -> dict[str, np.ndarray]:
+    """Per-(world, node) final adoption masks as arrays ``world``, ``node``
+    and ``adopt`` — for tests and for RR-CIM's item-1 adoption count."""
+    (_, world, node, adopt), _ = _run_simulation(
         graph, model, {"only": allocation}, n_worlds=n_worlds, seed=seed
     )
-    return final[["world", "node", "adopt"]]
+    return {"world": world, "node": node, "adopt": adopt}

@@ -9,8 +9,6 @@ worlds (used to test monotonicity and submodularity of σ per-world).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.diffusion.reach import reach_spark
 from repro.graphs.generator import SocialGraph
@@ -24,15 +22,6 @@ def reached(
     worlds = np.repeat(np.arange(n_worlds), len(seeds))
     starts = np.tile(np.asarray(seeds, np.int64), n_worlds)
     return reach_spark(graph, worlds, starts, edge_seed=seed, key_type="int", accept=accept)
-
-
-def active_nodes(
-    graph: SocialGraph, seeds: list[int], *, n_worlds: int, seed: int
-) -> DataFrame:
-    """(world, node) pairs active at the end of diffusion, all worlds."""
-    worlds, nodes = reached(graph, seeds, n_worlds=n_worlds, seed=seed)
-    pdf = pd.DataFrame({"world": worlds, "node": nodes})
-    return graph.spark.createDataFrame(pdf, "world int, node long")
 
 
 def spread_mc(

@@ -1,5 +1,5 @@
-"""SparkSession factory for spark-submit jobs (tests use conftest's
-``spark`` fixture instead — jobs are standalone entrypoints)."""
+"""The one SparkSession builder: the jobs, the benchmark and the tests'
+``spark`` fixture all call ``get_spark``."""
 from __future__ import annotations
 
 import os
@@ -7,16 +7,33 @@ import os
 from pyspark.sql import SparkSession
 
 
-def get_spark(app: str = "repro-job") -> SparkSession:
-    """A local session for the jobs and the benchmark.
+def driver_memory() -> tuple[str, str]:
+    """The driver heap and its source: ``SPARK_DRIVER_MEM``, else 75% of the
+    cgroup v2/v1 memory limit (one outside 1 GiB..1 TiB, like v1's
+    "unlimited", counts as none), else 8g."""
+    if m := os.environ.get("SPARK_DRIVER_MEM"):
+        return m, "env"
+    for p in ("/sys/fs/cgroup/memory.max", "/sys/fs/cgroup/memory/memory.limit_in_bytes"):
+        try:
+            with open(p) as f:
+                raw = f.read().strip()
+            gib = int(raw) / (1 << 30)
+        except (OSError, ValueError):  # no such file, or "max"
+            continue
+        if 1 <= gib <= 1024:
+            return f"{max(1, int(gib * 0.75))}g", f"cgroup:{p}={raw}"
+    return "8g", "fallback"
 
-    No join is left on the engine path, so the broadcast-join threshold
-    does not affect it. ``spark.sql.shuffle.partitions`` does: EPIC orders its
-    welfare sums by it (``epic._loop_order``), so changing it moves welfare
-    in the last bits."""
+
+def get_spark(app: str = "repro-job") -> SparkSession:
+    """A local session. The JVM reads master and driver memory at launch,
+    from ``PYSPARK_SUBMIT_ARGS``. EPIC orders its welfare sums by the
+    shuffle partitions (``epic._loop_order``), so changing them moves
+    welfare in the last bits."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
-        "--master local[*] --driver-memory 8g "
+        f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
+        f"--driver-memory {driver_memory()[0]} "
         "--conf spark.driver.host=127.0.0.1 "
         "--conf spark.ui.enabled=false pyspark-shell",
     )
@@ -24,7 +41,6 @@ def get_spark(app: str = "repro-job") -> SparkSession:
         SparkSession.builder.appName(app)
         .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
-        .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()
     )

@@ -20,6 +20,8 @@ import numpy as np
 from repro.graphs.generator import SocialGraph
 from repro.im.rrsets import RRCollection, sample_rr_sets
 
+BATCH_CAP = 200_000  # RR sets per sampling call at most
+
 
 def log_binom(n: int, k: int) -> float:
     """log C(n, k), natural log."""
@@ -62,7 +64,6 @@ def primm(
     eps: float = 0.5,
     ell: float = 1.0,
     seed: int = 0,
-    batch_cap: int = 200_000,
 ) -> PrimmResult:
     """Algorithm 3. ``budgets`` is b⃗ (any order; sorted non-increasing)."""
     b = sorted(int(x) for x in budgets if x > 0)[::-1]
@@ -76,7 +77,7 @@ def primm(
     def top_up(theta: float) -> None:
         need = int(math.ceil(theta)) - len(rr)
         while need > 0:
-            take = min(need, batch_cap)
+            take = min(need, BATCH_CAP)
             rr.extend(
                 sample_rr_sets(graph, take, seed=seed, id_offset=len(rr))
             )

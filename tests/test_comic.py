@@ -2,9 +2,12 @@
 import numpy as np
 import pytest
 
+from repro.alloc import comic_baselines
 from repro.alloc.comic_baselines import adoption_frequency, rr_cim, rr_sim_plus
 from repro.core import configs
 from repro.graphs.generator import er_graph, power_law_graph
+from repro.im import primm
+from repro.im.rrsets import sample_rr_sets
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,25 @@ def test_comic_baselines_do_more_rr_work(graph):
     rcm = rr_cim(graph, m, 4, 3, seed=6)
     assert rsp.n_rr > gw.n_rr
     assert rcm.n_rr > gw.n_rr
+
+
+def test_comic_n_rr_counts_sampled_sets(graph, monkeypatch):
+    """RR-SIM⁺'s and RR-CIM's ``n_rr`` is the number of RR sets sampled:
+    IMM's plus those of their own weighted collections."""
+    sampled = []
+
+    def counting(*args, **kwargs):
+        sets = sample_rr_sets(*args, **kwargs)
+        sampled.append(len(sets))
+        return sets
+
+    for module in (primm, comic_baselines):
+        monkeypatch.setattr(module, "sample_rr_sets", counting)
+    m = configs.two_item_model(1)
+    for allocate in (rr_sim_plus, rr_cim):
+        sampled.clear()
+        assert allocate(graph, m, 4, 3, seed=6).n_rr == sum(sampled)
+        assert len(sampled) > 1
 
 
 def test_rr_sim_plus_complementary_config_copies_hubs(graph):

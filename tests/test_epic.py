@@ -189,6 +189,23 @@ def test_supermodularity_bundling_beats_splitting(fig1, example):
 def test_empty_allocation(fig1, example):
     r = simulate_welfare(fig1, example, {}, n_worlds=2, seed=0)
     assert r.welfare == 0.0 and r.adoptions == 0.0
+    adopt = final_adoptions(fig1, example, {}, n_worlds=2, seed=0)
+    assert sorted(adopt) == ["adopt", "node", "world"]
+    assert all(len(a) == 0 and a.dtype.kind == "i" for a in adopt.values())
+
+
+def test_multi_empty_next_to_seeded(fig1, example):
+    """Allocations that seed nothing, before and after one that seeds, get
+    zero welfare and adoptions in every world; the seeded one is unchanged."""
+    res = simulate_welfare_multi(
+        fig1, example, {"first": {}, "greedy": allocation_from_pairs(GREEDY), "last": {}},
+        n_worlds=3, seed=0,
+    )
+    for name in ("first", "last"):
+        np.testing.assert_array_equal(res[name].per_world_welfare, np.zeros(3))
+        assert res[name].adoptions == 0.0
+    np.testing.assert_array_equal(res["greedy"].per_world_welfare, np.full(3, 15.0))
+    assert res["greedy"].adoptions == 15.0
 
 
 def test_superstep_cap_raises(fig1, example, monkeypatch):

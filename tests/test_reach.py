@@ -14,7 +14,7 @@ from repro.core import configs
 from repro.diffusion import reach
 from repro.diffusion.common import coin
 from repro.diffusion.epic import final_adoptions, simulate_welfare, simulate_welfare_multi
-from repro.diffusion.ic import active_nodes, exact_reachable, spread_mc
+from repro.diffusion.ic import exact_reachable, reached, spread_mc
 from repro.graphs.generator import FIG1_EDGES, er_graph, fig1_graph
 from repro.im.rrsets import sample_rr_sets
 
@@ -90,7 +90,7 @@ def probs(er):
         (adoption_frequency(g, [0, 1, 2], 0.5, n_worlds=8, seed=4) * 8).round().astype(int).tolist()
     ), "c4e37eaf6815c8e6"),
     ("ic", lambda g, q: _digest(sorted(
-        map(list, active_nodes(g, [0, 7], n_worlds=8, seed=9).toPandas().astype(int).itertuples(index=False))
+        map(list, zip(*(a.tolist() for a in reached(g, [0, 7], n_worlds=8, seed=9))))
     )), "099b1902ec6add9b"),
 ])
 def test_engine_matches_replaced_loops(er, probs, name, make, digest):
@@ -121,7 +121,7 @@ def _welfare(res) -> str:
 
 
 def _rows(adopt) -> str:
-    return _digest(adopt[["world", "node", "adopt"]].astype(int).to_numpy().tolist())
+    return _digest(np.column_stack([adopt["world"], adopt["node"], adopt["adopt"]]).tolist())
 
 
 def _alloc(seed: int, n: int, k: int, n_items: int) -> dict[int, int]:
@@ -157,6 +157,15 @@ G3, REAL = configs.two_item_model(3), configs.real_model()
 ])
 def test_epic_matches_replaced_loop(er, name, make, digest):
     assert make(er) == digest
+
+
+def test_session_has_the_digests_shuffle_partitions(spark):
+    """``epic._loop_order`` orders EPIC's rows by the session's shuffle
+    partitions, and the digests above were recorded at 64."""
+    assert spark.conf.get("spark.sql.shuffle.partitions") == "64", (
+        "the EPIC digests in tests/test_reach.py need 64 shuffle partitions, "
+        "which epic._loop_order reads; the spark fixture in conftest.py sets them"
+    )
 
 
 # The same loop's rows when seeds adopt but no superstep touches a row
