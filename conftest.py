@@ -1,4 +1,3 @@
-import os
 import sys
 
 import pytest
@@ -9,10 +8,6 @@ from repro.experiments.session import driver_memory, get_spark
 @pytest.fixture(scope="session")
 def spark():
     """One local SparkSession for the whole test session, from ``get_spark``."""
-    # Jobs use 32 shuffle partitions; tests use 64 because ``epic._loop_order``
-    # orders EPIC's rows by this value and tests/test_reach.py's EPIC digests
-    # were recorded at 64.
-    os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "64")
     s = get_spark("repro")
     # One line in test_output.txt that tells whether the driver memory
     # came from the environment, the cgroup limit or the fallback.

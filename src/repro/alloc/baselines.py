@@ -26,13 +26,11 @@ def item_disj(
     graph: SocialGraph,
     budgets: list[int],
     *,
-    eps: float = 0.5,
-    ell: float = 1.0,
     seed: int = 0,
 ) -> AllocationResult:
     """One item per seed node (§6.1.2.2)."""
     total = int(sum(budgets))
-    res = imm(graph, total, eps=eps, ell=ell, seed=seed)
+    res = imm(graph, total, seed=seed)
     ranked = list(res.seeds)
     seeds_per_item: dict[int, list[int]] = {}
     order = sorted(range(len(budgets)), key=lambda j: -budgets[j])
@@ -63,8 +61,6 @@ def bundle_disj(
     model: UtilityModel,
     budgets: list[int],
     *,
-    eps: float = 0.5,
-    ell: float = 1.0,
     seed: int = 0,
 ) -> AllocationResult:
     """Bundle-based disjoint allocation (§6.1.2.3)."""
@@ -80,7 +76,7 @@ def bundle_disj(
         """``count`` highest-ranked seeds disjoint from all used ones —
         one IMM invocation per call, as the paper's accounting assumes."""
         nonlocal n_rr
-        res = imm(graph, count + len(used), eps=eps, ell=ell, seed=seed)
+        res = imm(graph, count + len(used), seed=seed)
         n_rr += res.n_rr
         out = [v for v in res.seeds if v not in used][:count]
         used.update(out)

@@ -32,6 +32,8 @@ from repro.graphs.generator import SocialGraph
 from repro.im.imm import imm
 from repro.im.rrsets import RRCollection, sample_rr_sets
 
+N_WORLDS = 8  # MC worlds of RR-SIM⁺'s adoption frequencies and RR-CIM's sandwich check
+
 
 def adoption_frequency(
     graph: SocialGraph,
@@ -76,17 +78,14 @@ def rr_sim_plus(
     b1: int,
     b2: int,
     *,
-    eps: float = 0.5,
-    ell: float = 1.0,
     seed: int = 0,
-    n_worlds: int = 8,
 ) -> AllocationResult:
     """RR-SIM⁺: fix item-2 seeds by IMM, maximize item-1 adoptions."""
     gap = model.gap_params()
-    base = imm(graph, b2, eps=eps, ell=ell, seed=seed)
+    base = imm(graph, b2, seed=seed)
     seeds2 = base.seeds[:b2]
     prob2 = adoption_frequency(
-        graph, seeds2, gap["q_2|0"], n_worlds=n_worlds, seed=seed
+        graph, seeds2, gap["q_2|0"], n_worlds=N_WORLDS, seed=seed
     )
     node_probs = np.clip(
         gap["q_1|0"] + prob2 * (gap["q_1|2"] - gap["q_1|0"]), 0.0, 1.0
@@ -103,14 +102,11 @@ def rr_cim(
     b1: int,
     b2: int,
     *,
-    eps: float = 0.5,
-    ell: float = 1.0,
     seed: int = 0,
-    n_worlds: int = 8,
 ) -> AllocationResult:
     """RR-CIM: fix item-1 seeds by IMM, sandwich-select item-2 seeds."""
     gap = model.gap_params()
-    base = imm(graph, b1, eps=eps, ell=ell, seed=seed)
+    base = imm(graph, b1, seed=seed)
     seeds1 = base.seeds[:b1]
     candidates: dict[str, list[int]] = {}
     n_rr = base.n_rr
@@ -123,8 +119,8 @@ def rr_cim(
     # Sandwich evaluation: MC-count item-1 adoptions under each candidate.
     def item1_adoptions(seeds2: list[int]) -> float:
         allocation = AllocationResult({0: seeds1, 1: seeds2}).allocation
-        adopt = final_adoptions(graph, model, allocation, n_worlds=n_worlds, seed=seed + 23)
-        return (adopt["adopt"] & 1).sum() / n_worlds
+        adopt = final_adoptions(graph, model, allocation, n_worlds=N_WORLDS, seed=seed + 23)
+        return (adopt["adopt"] & 1).sum() / N_WORLDS
 
     scores = {tag: item1_adoptions(s2) for tag, s2 in candidates.items()}
     best = max(scores, key=scores.get)

@@ -37,12 +37,10 @@ def greedy_wm(
     graph: SocialGraph,
     budgets: list[int],
     *,
-    eps: float = 0.5,
-    ell: float = 1.0,
     seed: int = 0,
 ) -> AllocationResult:
     """Algorithm 1: item ``i`` gets the top-``b_i`` seeds of one PRIMM list."""
-    res: PrimmResult = primm(graph, list(budgets), eps=eps, ell=ell, seed=seed)
+    res: PrimmResult = primm(graph, list(budgets), seed=seed)
     return AllocationResult(
         {item: res.seeds[: int(b)] for item, b in enumerate(budgets)}, n_rr=res.n_rr
     )

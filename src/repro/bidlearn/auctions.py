@@ -34,8 +34,7 @@ def _phi(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
 
 
-def _cdf(x: np.ndarray) -> np.ndarray:
-    return 0.5 * (1.0 + np.vectorize(math.erf)(x / math.sqrt(2.0)))
+_cdf = np.vectorize(norm_cdf)
 
 
 @dataclass(frozen=True)

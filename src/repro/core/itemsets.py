@@ -85,11 +85,3 @@ def is_supermodular(values: np.ndarray, n_items: int) -> bool:
             ):
                 return False
     return True
-
-
-def is_modular(values: np.ndarray, n_items: int) -> bool:
-    """Check additivity: ``f(S) = Σ_{i∈S} f({i})`` with ``f(∅)=0``."""
-    singles = values[1 << np.arange(n_items)]
-    return bool(
-        np.allclose(values, mask_item_matrix(n_items) @ singles, atol=1e-9)
-    )

@@ -144,17 +144,6 @@ def g_table(utilities: np.ndarray, n_items: int) -> np.ndarray:
     return arg
 
 
-def g_table_values(utilities: np.ndarray, n_items: int) -> np.ndarray:
-    """Best achievable utility over subsets of each mask (companion DP)."""
-    size = 1 << n_items
-    best = utilities.copy()
-    for j in range(n_items):
-        bit = 1 << j
-        idx = np.flatnonzero(np.arange(size) & bit)
-        best[idx] = np.maximum(best[idx], best[idx ^ bit])
-    return best
-
-
 def pair_table(utilities: np.ndarray, n_items: int) -> np.ndarray:
     """Full constrained-argmax lookup ``T[D, A_prev] → adopt``.
 

@@ -31,6 +31,9 @@ from repro.core.utility import UtilityModel, adoption_tables_for_worlds
 from repro.diffusion.reach import cascade, run_sharded, spark_hash
 
 MAX_SUPERSTEPS = 120
+#: The replaced Spark loop's shuffle partitions and seed-row input slices
+#: (the jobs' session on a 4-core box), which fix ``_loop_order``.
+LOOP_PARTITIONS, LOOP_SLICES = 32, 4
 
 #: An allocation maps node -> itemset bitmask of items seeded there.
 Allocation = Mapping[int, int]
@@ -82,20 +85,19 @@ def _run_simulation(
     if max(steps) > MAX_SUPERSTEPS:
         raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
     s, v, a, t = (np.concatenate(c) for c in zip(*states))
-    order = _loop_order(graph, s, v, t, max(steps), n_worlds, scen * graph.n + node)
+    order = _loop_order(graph.n, s, v, t, max(steps), n_worlds, scen * graph.n + node)
     return (*np.divmod(s[order], n_worlds), v[order], a[order]), util
 
 
-def _loop_order(graph, scen, node, touched, steps, n_worlds: int, seed_keys) -> np.ndarray:
+def _loop_order(n: int, scen, node, touched, steps, n_worlds: int, seed_keys) -> np.ndarray:
     """Indices that put the cascade's rows in the order the replaced Spark
-    superstep loop returned them. Welfare sums ``util`` in this order, so
-    it fixes their last bits; DESIGN.md ("Why EPIC keeps the old row
-    order") derives the rule. ``seed_keys`` are the seed rows as built."""
-    spark = graph.spark
-    keys, g = scen * graph.n + node, touched.max()
+    superstep loop returned them at ``LOOP_PARTITIONS`` and ``LOOP_SLICES``.
+    Welfare sums ``util`` in this order, so it fixes their last bits;
+    DESIGN.md ("Why EPIC keeps the old row order") derives the rule.
+    ``seed_keys`` are the seed rows as built."""
+    keys, g = scen * n + node, touched.max()
     alloc, world = np.divmod(scen, n_worlds)
-    part = spark_hash((alloc, "int"), (world, "int"), (node, "long")) % int(
-        spark.conf.get("spark.sql.shuffle.partitions"))
+    part = spark_hash((alloc, "int"), (world, "int"), (node, "long")) % LOOP_PARTITIONS
     if g > 0:  # rows untouched at G, then touched; by key, or stably by partition after a quiet step
         return np.lexsort((keys, part * (steps > g), touched == g))
     by_key = np.argsort(keys)
@@ -103,9 +105,8 @@ def _loop_order(graph, scen, node, touched, steps, n_worlds: int, seed_keys) -> 
     if steps == 0:
         return built
     # a quiet superstep sorted each input slice of the seed rows by partition
-    n_slices = spark.sparkContext.defaultParallelism
-    batch = max(1, min(len(built) // n_slices, 1024))  # as SparkContext.parallelize batches
-    slices = ((np.arange(len(built)) // batch + 1) * n_slices - 1) // -(-len(built) // batch)
+    batch = max(1, min(len(built) // LOOP_SLICES, 1024))  # as SparkContext.parallelize batches
+    slices = ((np.arange(len(built)) // batch + 1) * LOOP_SLICES - 1) // -(-len(built) // batch)
     return built[np.lexsort((part[built], slices))]
 
 

@@ -27,7 +27,6 @@ from repro.diffusion.epic import simulate_welfare_multi
 from repro.diffusion.ic import spread_mc
 from repro.graphs.generator import SocialGraph
 
-EPS, ELL = 0.5, 1.0
 N_WORLDS, SEED = 8, 0
 N_ITEMS = 10                        # Figs. 5 and 7(c)/8(c)
 SKEW_FRACS = (0.2, 0.02)            # configs 8/9: max and min budget share of the total
@@ -54,13 +53,13 @@ _warm_up = cache(lambda graph: spread_mc(graph, [0], n_worlds=1))
 def _allocate(graph: SocialGraph, model, name: str, budgets) -> tuple[AllocationResult, float]:
     """Run allocator ``name`` at ``budgets`` (one per item): the
     allocation and its wall time in seconds, after an untimed warm-up."""
-    b, kw = list(budgets), {"eps": EPS, "ell": ELL, "seed": SEED}
+    b = list(budgets)
     run = {
-        "greedyWM": lambda: greedy_wm(graph, b, **kw),
-        "item-disj": lambda: item_disj(graph, b, **kw),
-        "bundle-disj": lambda: bundle_disj(graph, model, b, **kw),
-        "RR-SIM+": lambda: rr_sim_plus(graph, model, *b, **kw),
-        "RR-CIM": lambda: rr_cim(graph, model, *b, **kw),
+        "greedyWM": lambda: greedy_wm(graph, b, seed=SEED),
+        "item-disj": lambda: item_disj(graph, b, seed=SEED),
+        "bundle-disj": lambda: bundle_disj(graph, model, b, seed=SEED),
+        "RR-SIM+": lambda: rr_sim_plus(graph, model, *b, seed=SEED),
+        "RR-CIM": lambda: rr_cim(graph, model, *b, seed=SEED),
     }[name]
     _warm_up(graph)
     t0 = time.perf_counter()

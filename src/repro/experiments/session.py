@@ -27,9 +27,7 @@ def driver_memory() -> tuple[str, str]:
 
 def get_spark(app: str = "repro-job") -> SparkSession:
     """A local session. The JVM reads master and driver memory at launch,
-    from ``PYSPARK_SUBMIT_ARGS``. EPIC orders its welfare sums by the
-    shuffle partitions (``epic._loop_order``), so changing them moves
-    welfare in the last bits."""
+    from ``PYSPARK_SUBMIT_ARGS``."""
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -39,7 +37,7 @@ def get_spark(app: str = "repro-job") -> SparkSession:
     )
     s = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", os.environ.get("SPARK_SHUFFLE_PARTITIONS", "32"))
+        .config("spark.sql.shuffle.partitions", "32")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.showConsoleProgress", "false")
         .getOrCreate()

@@ -15,9 +15,7 @@ def imm(
     graph: SocialGraph,
     k: int,
     *,
-    eps: float = 0.5,
-    ell: float = 1.0,
     seed: int = 0,
 ) -> PrimmResult:
     """Ordered (greedy) seed set of size ``k`` maximizing IC spread."""
-    return primm(graph, [k], eps=eps, ell=ell, seed=seed)
+    return primm(graph, [k], seed=seed)

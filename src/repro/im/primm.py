@@ -21,6 +21,7 @@ from repro.graphs.generator import SocialGraph
 from repro.im.rrsets import RRCollection, sample_rr_sets
 
 BATCH_CAP = 200_000  # RR sets per sampling call at most
+EPS, ELL = 0.5, 1.0  # approximation slack ε and confidence exponent ℓ (1 − n^-ℓ)
 
 
 def log_binom(n: int, k: int) -> float:
@@ -61,8 +62,6 @@ def primm(
     graph: SocialGraph,
     budgets: list[int],
     *,
-    eps: float = 0.5,
-    ell: float = 1.0,
     seed: int = 0,
 ) -> PrimmResult:
     """Algorithm 3. ``budgets`` is b⃗ (any order; sorted non-increasing)."""
@@ -70,9 +69,9 @@ def primm(
     assert b, "need at least one positive budget"
     n = graph.n
     rr = RRCollection(n)
-    ell2 = ell + math.log(2) / math.log(n)          # line 2
+    ell2 = ELL + math.log(2) / math.log(n)          # line 2
     ell_p = ell2 + math.log(len(b)) / math.log(n)   # line 3: log_n(n^ℓ·|b|)
-    eps_p = math.sqrt(2) * eps                      # line 4
+    eps_p = math.sqrt(2) * EPS                      # line 4
 
     def top_up(theta: float) -> None:
         need = int(math.ceil(theta)) - len(rr)
@@ -103,13 +102,13 @@ def primm(
             f_k = cov[-1] if len(cov) else 0.0
         if n * f_k >= (1 + eps_p) * x:              # line 14
             lb = n * f_k / (1 + eps_p)
-            top_up(lambda_star(n, k, eps, ell_p) / lb)
+            top_up(lambda_star(n, k, EPS, ell_p) / lb)
             s += 1
             budget_switch = True
         else:
             i += 1
             budget_switch = False
     if s < len(b):                                  # lines 22-25 fallback
-        top_up(lambda_star(n, b[s], eps, ell_p) / lb)
+        top_up(lambda_star(n, b[s], EPS, ell_p) / lb)
     seeds, coverage = rr.node_selection(b[0])       # line 26: b̄ = max budget
     return PrimmResult(seeds=seeds, n_rr=len(rr), coverage=coverage)

@@ -71,10 +71,8 @@ class RRCollection:
         n_rr = len(self.sets)
         if n_rr == 0:
             return [], np.zeros(0)
-        flat_nodes = np.concatenate([s for s in self.sets]) if n_rr else np.empty(0)
-        flat_rrs = np.concatenate(
-            [np.full(len(s), i, dtype=np.int64) for i, s in enumerate(self.sets)]
-        ) if n_rr else np.empty(0)
+        flat_nodes = np.concatenate(self.sets)
+        flat_rrs = np.repeat(np.arange(n_rr), [len(s) for s in self.sets])
         counts = np.bincount(flat_nodes, minlength=self.n).astype(np.int64)
         # inverted index node -> rr ids (CSR)
         order = np.argsort(flat_nodes, kind="stable")

@@ -1,5 +1,4 @@
 """Tests for greedyWM and the item-disj / bundle-disj baselines."""
-import numpy as np
 import pytest
 
 from repro.alloc.baselines import bundle_disj, item_disj

@@ -5,8 +5,7 @@ import pytest
 
 from repro.core import configs
 from repro.core.blocks import best_itemset, block_structure, generate_blocks
-from repro.core.itemsets import popcount, submasks
-from repro.core.utility import g_table_values
+from repro.core.itemsets import popcount
 
 
 def example3_utilities():

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from repro.core import configs
-from repro.core.itemsets import popcount
 from repro.core.utility import g_table
 from repro.diffusion import epic
 from repro.diffusion.epic import (

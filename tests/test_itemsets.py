@@ -4,7 +4,6 @@ import pytest
 
 from repro.core.itemsets import (
     bits,
-    is_modular,
     is_monotone,
     is_supermodular,
     mask_item_matrix,
@@ -54,7 +53,6 @@ def test_mask_item_matrix_additive(n):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_modular_is_both_sub_and_supermodular(n):
     vals = mask_item_matrix(n) @ np.arange(1.0, n + 1)
-    assert is_modular(vals, n)
     assert is_supermodular(vals, n)
     assert is_monotone(vals, n)
 
@@ -73,7 +71,6 @@ def test_supermodular_square_of_size():
     vals = popcount(np.arange(1 << n)).astype(float) ** 2
     assert is_supermodular(vals, n)
     assert is_monotone(vals, n)
-    assert not is_modular(vals, n)
 
 
 def test_monotone_detects_violation():

@@ -134,54 +134,56 @@ G3, REAL = configs.two_item_model(3), configs.real_model()
 
 # Digests of the per-superstep Spark loop (join, coin, table lookup,
 # anti-join + union, checkpoint each step) that the EPIC cascade replaced,
-# on ``er`` with 64 shuffle partitions. Welfare sums ``util`` in row order,
-# so the per-world welfare digests pin the row order too. "g"/"pair" name
-# the adoption table. The last superstep touches no row in the "quiet"
-# cases, and touches rows without changing an adoption in the "touch"
-# ones; no seed adopts in "none".
-@pytest.mark.parametrize("name,make,digest", [
+# on ``er`` with 32 shuffle partitions on 4 cores (``epic.LOOP_PARTITIONS``,
+# ``epic.LOOP_SLICES``). Welfare sums ``util`` in row order, so the
+# per-world welfare digests pin the row order too. "g"/"pair" name the
+# adoption table. The last superstep touches no row in the "quiet" cases,
+# and touches rows without changing an adoption in the "touch" ones; no
+# seed adopts in "none".
+EPIC_CASES = [
     ("g-multi-quiet", lambda g: _welfare(simulate_welfare_multi(
         g, G3, {"a": {0: 1, 1: 2, 2: 1}, "b": _alloc(1, g.n, 10, 2), "c": _alloc(2, g.n, 25, 2)},
-        n_worlds=6, seed=3)), "0a3d9621dd34cbc1"),
+        n_worlds=6, seed=3)), "773f0fcf411b0286"),
     ("g-multi-touch", lambda g: _welfare(simulate_welfare_multi(
         g, G3, {"a": _alloc(13, g.n, 8, 2), "b": _alloc(33, g.n, 20, 2)}, n_worlds=4, seed=3)),
      "86d08cb66be7de5a"),
     ("pair-multi-quiet", lambda g: _welfare(simulate_welfare_multi(
         g, REAL, {"a": {0: 31, 1: 31}, "b": _alloc(3, g.n, 12, 5)}, n_worlds=4, seed=2)), "07fbf2b3b6f23463"),
     ("g-rows-quiet", lambda g: _rows(final_adoptions(g, G3, _alloc(61, g.n, 15, 2), n_worlds=5, seed=1)),
-     "b6e439681a8e35f1"),
+     "d00d8d46e08b22c2"),
     ("pair-rows-touch", lambda g: _rows(final_adoptions(g, REAL, _alloc(51, g.n, 10, 5), n_worlds=4, seed=1)),
      "cfc1368282893829"),
     ("pair-rows-none", lambda g: _rows(final_adoptions(g, REAL, _alloc(55, g.n, 10, 5), n_worlds=4, seed=5)),
      "9400d0a7c9cd1289"),
-])
+]
+
+
+@pytest.mark.parametrize("name,make,digest", EPIC_CASES)
 def test_epic_matches_replaced_loop(er, name, make, digest):
     assert make(er) == digest
 
 
-def test_session_has_the_digests_shuffle_partitions(spark):
-    """``epic._loop_order`` orders EPIC's rows by the session's shuffle
-    partitions, and the digests above were recorded at 64."""
-    assert spark.conf.get("spark.sql.shuffle.partitions") == "64", (
-        "the EPIC digests in tests/test_reach.py need 64 shuffle partitions, "
-        "which epic._loop_order reads; the spark fixture in conftest.py sets them"
-    )
+def test_epic_row_order_ignores_the_session(spark, er):
+    """The quiet cases' row order follows the replaced loop's partitions,
+    not the session's: their digests hold at 7 shuffle partitions too."""
+    key = "spark.sql.shuffle.partitions"
+    old = spark.conf.get(key)
+    spark.conf.set(key, "7")
+    try:
+        for name, make, digest in EPIC_CASES:
+            if name in ("g-multi-quiet", "g-rows-quiet"):
+                assert make(er) == digest, name
+    finally:
+        spark.conf.set(key, old)
 
 
 # The same loop's rows when seeds adopt but no superstep touches a row
-# (v4 and v7 have no out-edges): ``createDataFrame``'s slices of the six
-# seed rows, each stably sorted by hash partition. The slices depend on the
-# number of cores; from 6 cores on each row is a slice of its own, and the
-# rows keep the order they were built in.
-SEEDS_ONLY = {1: "7b735e312a937589", 2: "0757e0767c12b859", 3: "166e536cfac4d59f",
-              4: "725401e06b891710", 5: "725401e06b891710"}
-
-
+# (v4 and v7 have no out-edges): ``createDataFrame``'s ``LOOP_SLICES``
+# slices of the six seed rows, each stably sorted by hash partition.
 def test_epic_seeds_only_matches_replaced_loop(spark):
     adopt = final_adoptions(fig1_graph(spark), configs.example_model(), {3: 0b101, 6: 0b111},
                             n_worlds=3, seed=0)
-    cores = spark.sparkContext.defaultParallelism
-    assert _rows(adopt) == SEEDS_ONLY.get(cores, "8820b6fc6c2f07b5")
+    assert _rows(adopt) == "92607600560197df"
 
 
 # The kernels pack ``(key, node)`` as ``key * n + node``, so node n would

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from repro.diffusion.ic import spread_mc
-from repro.graphs.generator import er_graph, fig1_graph, power_law_graph
+from repro.graphs.generator import fig1_graph, power_law_graph
 from repro.im.imm import imm
 from repro.im.primm import lambda_prime, lambda_star, log_binom, primm
 from repro.im.rrsets import RRCollection, sample_rr_sets
@@ -117,11 +117,11 @@ def test_primm_prefix_preserving(graph):
     PRIMM output is within (1-1/e-ε) of a dedicated IMM run (we compare
     against IMM's own achieved spread as the OPT proxy)."""
     budgets = [8, 4, 2]
-    pres = primm(graph, budgets, eps=0.5, ell=1.0, seed=3)
+    pres = primm(graph, budgets, seed=3)
     assert len(pres.seeds) >= 8
     for b in budgets:
         prefix = pres.seeds[:b]
-        dedicated = imm(graph, b, eps=0.5, ell=1.0, seed=4).seeds[:b]
+        dedicated = imm(graph, b, seed=4).seeds[:b]
         s_prefix = spread_mc(graph, prefix, n_worlds=16, seed=5)
         s_dedicated = spread_mc(graph, dedicated, n_worlds=16, seed=5)
         assert s_prefix >= (1 - 1 / np.e - 0.5) * s_dedicated
