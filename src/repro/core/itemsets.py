@@ -10,6 +10,8 @@ order ``≺`` on subsets (§5.2.1) coincide with integer order of masks
 """
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
 
@@ -50,11 +52,34 @@ def submasks(mask: int) -> list[int]:
 def mask_item_matrix(n_items: int) -> np.ndarray:
     """(2^n, n) 0/1 matrix: row ``m`` has 1 in column ``j`` iff item j ∈ m.
 
-    Lets additive set functions be computed as a matvec:
-    ``price_of_mask = M @ item_prices``.
+    Scaling its columns by per-item values gives each mask's item terms,
+    which ``additive_over_masks`` sums.
     """
     masks = np.arange(1 << n_items, dtype=np.int64)
     return ((masks[:, None] >> np.arange(n_items)) & 1).astype(np.float64)
+
+
+def additive_over_masks(values: np.ndarray) -> np.ndarray:
+    """Additive set function per mask, length 2^n: ``Σ_{j ∈ m} values[j]``.
+
+    The item terms are added in one fixed order, so the bits do not depend
+    on the CPU: item ``j < 4⌊n/4⌋`` goes to lane ``j % 4`` (each lane summed
+    left to right), the lanes are reduced as ``(l0 + l2) + (l1 + l3)``, and
+    the last ``n % 4`` items, summed left to right, are added after. That is
+    the order of OpenBLAS's Haswell, Zen and AVX-512 kernels, on which the
+    committed results were recorded; a BLAS matvec picks its kernel by CPU
+    model, and the SSE kernels (Prescott and older) add in another order.
+    """
+    n = len(values)
+    cols = list((mask_item_matrix(n) * np.asarray(values, dtype=np.float64)).T)
+    q = n - n % 4
+    out = np.zeros(1 << n)  # a BLAS matvec's output starts at +0.0 too
+    if q:
+        l0, l1, l2, l3 = (reduce(np.add, cols[lane:q:4]) for lane in range(4))
+        out += (l0 + l2) + (l1 + l3)
+    if n > q:
+        out += reduce(np.add, cols[q:])
+    return out
 
 
 def is_monotone(values: np.ndarray, n_items: int) -> bool:

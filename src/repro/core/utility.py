@@ -25,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.itemsets import (
+    additive_over_masks,
     is_monotone,
     is_supermodular,
-    mask_item_matrix,
     popcount,
     submasks,
 )
@@ -67,7 +67,7 @@ class UtilityModel:
     # ---- set functions over masks -------------------------------------
     def price_of_masks(self) -> np.ndarray:
         """Additive price per mask, length 2^n."""
-        return mask_item_matrix(self.n_items) @ self.prices
+        return additive_over_masks(self.prices)
 
     def det_utility(self) -> np.ndarray:
         """Deterministic utility V − P per mask (noise ignored, §6.1.2)."""
@@ -83,7 +83,7 @@ class UtilityModel:
 
     def utilities_in_world(self, noise: np.ndarray) -> np.ndarray:
         """U_W per mask for noise world ``noise`` (additive over items)."""
-        return self.det_utility() + mask_item_matrix(self.n_items) @ noise
+        return self.det_utility() + additive_over_masks(noise)
 
     # ---- GAP correspondence (Eq. 5), two items only --------------------
     def gap_params(self) -> dict[str, float]:

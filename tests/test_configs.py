@@ -1,4 +1,7 @@
 """Tests for the paper's utility configurations (§6, Tables 3-5)."""
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -144,3 +147,28 @@ def test_real_noise_fit_reasonable():
     for mask, (_p, _v, target) in configs.TABLE5_ANCHORS.items():
         fitted = sum(var[j] for j in bits(mask))
         assert abs(fitted - target) < 3.5
+
+
+def test_real_noise_fit_is_the_least_squares_fit():
+    """The committed variances are the least-squares fit of the anchor
+    variances: each is within 32 ulps of the largest component of the
+    exact solution of the normal equations (solved in rationals). A
+    floating-point solve's error scales with the solution's norm, so the
+    small games variance is 75 of its own ulps off, 2.3 of ps's."""
+    design = [[Fraction(m & 1), Fraction(m >> 1 & 1), Fraction(popcount(m >> 2))]
+              for m in configs.TABLE5_ANCHORS]
+    target = [Fraction(var) for _p, _v, var in configs.TABLE5_ANCHORS.values()]
+    # augmented normal equations [AᵀA | Aᵀb], then Gauss-Jordan elimination
+    rows = [[sum(r[i] * r[j] for r in design) for j in range(3)]
+            + [sum(r[i] * t for r, t in zip(design, target))] for i in range(3)]
+    for i in range(3):
+        p = next(k for k in range(i, 3) if rows[k][i])
+        rows[i], rows[p] = rows[p], rows[i]
+        rows[i] = [x / rows[i][i] for x in rows[i]]
+        for k in range(3):
+            if k != i:
+                rows[k] = [a - rows[k][i] * b for a, b in zip(rows[k], rows[i])]
+    exact = [float(r[3]) for r in rows]
+    ulp = math.ulp(max(map(abs, exact)))
+    for got, want in zip(configs.TABLE5_VARIANCE_FIT, exact):
+        assert abs(got - want) <= 32 * ulp, (got.hex(), want.hex())

@@ -3,6 +3,7 @@ import numpy as np
 import pytest
 
 from repro.core.itemsets import (
+    additive_over_masks,
     bits,
     is_monotone,
     is_supermodular,
@@ -48,6 +49,21 @@ def test_mask_item_matrix_additive(n):
     # additive price of mask = sum of member prices
     for mask in range(1 << n):
         assert per_mask[mask] == pytest.approx(sum(prices[j] for j in bits(mask)))
+
+
+def test_additive_over_masks_fixed_order():
+    """Five items add as ((x0 + x2) + (x1 + x3)) + x4, absent items as 0."""
+    v = np.random.default_rng(3).normal(0, 100, 5)
+    got = additive_over_masks(v)
+    for mask in range(32):
+        x = [float(v[j]) if mask >> j & 1 else 0.0 for j in range(5)]
+        assert got[mask].hex() == (((x[0] + x[2]) + (x[1] + x[3])) + x[4]).hex(), mask
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_additive_over_masks_is_the_matvec(n):
+    v = np.random.default_rng(n).normal(0, 1, n)
+    np.testing.assert_allclose(additive_over_masks(v), mask_item_matrix(n) @ v, rtol=1e-12, atol=0)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

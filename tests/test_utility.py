@@ -1,7 +1,14 @@
 """Unit tests for the utility model and adoption lookup tables."""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.core import configs
 from repro.core.itemsets import popcount, submasks
 from repro.core.utility import (
@@ -65,6 +72,29 @@ def test_noise_additive_over_items():
     assert u[1] == pytest.approx(det[1] + 0.7)
     assert u[2] == pytest.approx(det[2] - 0.3)
     assert u[3] == pytest.approx(det[3] + 0.4)
+
+
+def real_model_bits() -> list[str]:
+    """``float.hex`` of the real model's prices per mask and its utilities
+    in eight noise worlds, drawn as EPIC draws them."""
+    m, rng = configs.real_model(), np.random.default_rng(0)
+    util = [m.utilities_in_world(m.sample_noise(rng)) for _ in range(8)]
+    return [float(x).hex() for x in np.concatenate([m.price_of_masks(), *util])]
+
+
+# OpenBLAS picks its kernels by CPU model. These two SSE kernels round a
+# dot product and a least-squares fit differently from the AVX-512 ones on
+# which the committed results were recorded, so the child must not use
+# BLAS. Where OpenBLAS cannot switch kernels, the variable is ignored.
+@pytest.mark.parametrize("core", ["Prescott", "Nehalem"])
+def test_real_model_bits_ignore_the_blas_kernel(core):
+    paths = [Path(repro.__file__).parents[1], Path(__file__).parents[1]]
+    env = {**os.environ, "OPENBLAS_CORETYPE": core, "PYTHONPATH": os.pathsep.join(
+        [*map(str, paths), os.environ.get("PYTHONPATH", "")])}
+    code = "import json; from tests.test_utility import real_model_bits as b; print(json.dumps(b()))"
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, check=True)
+    assert json.loads(child.stdout) == real_model_bits()
 
 
 # ---- adoption lookup tables -------------------------------------------
