@@ -39,7 +39,7 @@ def item_disj(
         b = int(budgets[item])
         seeds_per_item[item] = ranked[pos : pos + b]
         pos += b
-    return AllocationResult(seeds_per_item, n_rr=res.n_rr)
+    return AllocationResult(seeds_per_item, n_rr=res.n_rr, sampling_calls=res.sampling_calls)
 
 
 def _min_bundle(det_util: np.ndarray, items: list[int], rem: dict[int, int]) -> int:
@@ -70,14 +70,14 @@ def bundle_disj(
     bundles: list[tuple[int, list[int]]] = []   # (mask, seed nodes)
     seeds_per_item: dict[int, list[int]] = {j: [] for j in rem}
     used: set[int] = set()
-    n_rr = 0
+    n_rr = calls = 0
 
     def fresh_seeds(count: int) -> list[int]:
         """``count`` highest-ranked seeds disjoint from all used ones —
         one IMM invocation per call, as the paper's accounting assumes."""
-        nonlocal n_rr
+        nonlocal n_rr, calls
         res = imm(graph, count + len(used), seed=seed)
-        n_rr += res.n_rr
+        n_rr, calls = n_rr + res.n_rr, calls + res.sampling_calls
         out = [v for v in res.seeds if v not in used][:count]
         used.update(out)
         return out
@@ -107,4 +107,4 @@ def bundle_disj(
             nodes = fresh_seeds(rem[j])
             rem[j] = 0
             seeds_per_item[j].extend(nodes)
-    return AllocationResult(seeds_per_item, n_rr=n_rr)
+    return AllocationResult(seeds_per_item, n_rr=n_rr, sampling_calls=calls)

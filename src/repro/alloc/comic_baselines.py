@@ -93,7 +93,8 @@ def rr_sim_plus(
     seeds1, n_rr1 = _covered_rr_seeds(
         graph, b1, node_probs, n_rr=base.n_rr, seed=seed + 11
     )
-    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=base.n_rr + n_rr1)
+    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=base.n_rr + n_rr1,
+                            sampling_calls=base.sampling_calls + 1)
 
 
 def rr_cim(
@@ -125,4 +126,5 @@ def rr_cim(
     scores = {tag: item1_adoptions(s2) for tag, s2 in candidates.items()}
     best = max(scores, key=scores.get)
     seeds2 = candidates[best]
-    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=n_rr)
+    return AllocationResult({0: seeds1, 1: seeds2}, n_rr=n_rr,
+                            sampling_calls=base.sampling_calls + len(candidates))

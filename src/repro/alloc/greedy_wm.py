@@ -24,6 +24,7 @@ class AllocationResult:
 
     seeds_per_item: dict[int, list[int]]
     n_rr: int = 0                  # RR sets generated (0 for RR-free algos)
+    sampling_calls: int = 0        # `sample_rr_sets` calls, one Spark job each
 
     @property
     def allocation(self) -> dict[int, int]:
@@ -42,5 +43,6 @@ def greedy_wm(
     """Algorithm 1: item ``i`` gets the top-``b_i`` seeds of one PRIMM list."""
     res: PrimmResult = primm(graph, list(budgets), seed=seed)
     return AllocationResult(
-        {item: res.seeds[: int(b)] for item, b in enumerate(budgets)}, n_rr=res.n_rr
+        {item: res.seeds[: int(b)] for item, b in enumerate(budgets)},
+        n_rr=res.n_rr, sampling_calls=res.sampling_calls,
     )

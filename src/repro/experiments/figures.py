@@ -108,7 +108,7 @@ def welfare_table(graph: SocialGraph, model, runs: Runs) -> pd.DataFrame:
 def _timing_row(graph: SocialGraph, model, name: str, budgets, **columns) -> dict:
     res, t = _allocate(graph, model, name, budgets)
     return {"network": graph.name, **columns, "algorithm": name,
-            "time_s": round(t, 1), "note": f"n_rr={res.n_rr}"}
+            "time_s": round(t, 1), "note": f"n_rr={res.n_rr} calls={res.sampling_calls}"}
 
 
 def skewed_budgets(n_items: int, total: int) -> list[int]:

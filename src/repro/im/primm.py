@@ -8,6 +8,19 @@ Faithful implementation of the pseudocode, including:
 - prefix reuse of the previous NodeSelection result on a budget switch,
 - the LB = 1 fallback when the coverage condition never fires.
 
+Sampling looks ahead along the failing path: while a line-14 check can
+still fail, the next top-ups are known in advance (θ doubles with ``i``),
+so one ``sample_rr_sets`` call draws the current batch and the following
+ones, up to ``AHEAD_CAP`` sets, and keeps them pending by offset. A
+top-up that starts where a pending batch starts, and is no longer, takes
+its prefix, which is the batch it would have sampled (``sample_rr_sets``:
+a batch is a pure function of its seed, offset and size, and
+prefix-stable); a longer one samples its whole request there again. So
+RR sets, seeds, ``n_rr`` and coverage are those of one call per top-up.
+Discarded tails count in ``sampled``, not in ``n_rr``. This is the
+SSA/D-SSA idea (Nguyen, Thai, Dinh, SIGMOD 2016) of sampling geometric
+batches ahead.
+
 IMM itself is the single-budget special case (`im.imm`).
 """
 from __future__ import annotations
@@ -20,7 +33,11 @@ import numpy as np
 from repro.graphs.generator import SocialGraph
 from repro.im.rrsets import RRCollection, sample_rr_sets
 
-BATCH_CAP = 200_000  # RR sets per sampling call at most
+BATCH_CAP = 200_000  # RR sets per sampling batch (one root stream) at most
+# RR sets per sampling call at most, unless its first batch alone is more. A
+# call's Spark latency dominates: 12,500 sets on douban-movie-lite cost about
+# a fifth of a call more than 300 (4-core box).
+AHEAD_CAP = 12_500
 EPS, ELL = 0.5, 1.0  # approximation slack ε and confidence exponent ℓ (1 − n^-ℓ)
 
 
@@ -54,8 +71,10 @@ class PrimmResult:
     """Ordered prefix-preserving seed set + sampling diagnostics."""
 
     seeds: list[int]               # ordered, length b̄ — prefixes serve all budgets
-    n_rr: int
+    n_rr: int                      # RR sets the seeds were selected from
     coverage: np.ndarray = field(repr=False)   # F_R over prefixes of `seeds`
+    sampled: int                   # RR sets drawn, discarded look-ahead tails included
+    sampling_calls: int            # `sample_rr_sets` calls, one Spark job each
 
 
 def primm(
@@ -72,27 +91,57 @@ def primm(
     ell2 = ELL + math.log(2) / math.log(n)          # line 2
     ell_p = ell2 + math.log(len(b)) / math.log(n)   # line 3: log_n(n^ℓ·|b|)
     eps_p = math.sqrt(2) * EPS                      # line 4
+    max_i = int(math.log2(n)) - 1
+    pending: dict[int, list[np.ndarray]] = {}       # sampled ahead: offset -> its batch
+    sampled = calls = 0
 
-    def top_up(theta: float) -> None:
-        need = int(math.ceil(theta)) - len(rr)
-        while need > 0:
-            take = min(need, BATCH_CAP)
-            rr.extend(
-                sample_rr_sets(graph, take, seed=seed, id_offset=len(rr))
-            )
-            need -= take
+    def failing_path(k: int, i: int) -> list[float]:
+        """The top-up targets from step ``i`` on if every check fails:
+        θ_i … θ_max_i (line 9), then the LB = 1 fallback (lines 22-25)."""
+        return ([lambda_prime(n, k, eps_p, ell_p) / (n / 2**j) for j in range(i, max_i + 1)]
+                + [lambda_star(n, k, EPS, ell_p)])
+
+    def sample_ahead(targets: list[float]) -> None:
+        """Replace ``pending`` with the batches of the top-ups to ``targets``
+        from ``len(rr)``, split at ``BATCH_CAP``: the first batch and those
+        after it that fit in ``AHEAD_CAP`` sets, in one sampling call."""
+        nonlocal sampled, calls
+        sizes, end = [], len(rr)
+        for t in map(math.ceil, targets):
+            while t > end:
+                sizes.append(min(t - end, BATCH_CAP))
+                end += sizes[-1]
+        sizes = sizes[:max(1, int(np.searchsorted(np.cumsum(sizes), AHEAD_CAP, side="right")))]
+        sets = sample_rr_sets(graph, sizes, seed=seed, id_offset=len(rr))
+        sampled, calls = sampled + len(sets), calls + 1
+        pending.clear()
+        at = 0
+        for t in sizes:
+            pending[len(rr) + at] = sets[at:at + t]
+            at += t
+
+    def top_up(targets: list[float]) -> None:
+        """Grow the collection to ``targets[0]`` sets, taking the prefix of
+        the pending batch that starts where it ends, if that batch is long
+        enough. Otherwise sample it, and ``targets[1:]``, the top-ups that
+        follow if the coming checks fail, ahead."""
+        goal = math.ceil(targets[0])
+        while len(rr) < goal:
+            take = min(goal - len(rr), BATCH_CAP)
+            if len(pending.get(len(rr), ())) < take:
+                sample_ahead(targets)
+            rr.extend(pending.pop(len(rr))[:take])
 
     s = 0                      # index into b (paper's s-1)
     i = 1
     budget_switch = False
     last_selection: list[int] = []
     lb = 1.0
-    max_i = int(math.log2(n)) - 1
     while i <= max_i and s < len(b):
         k = b[s]
         lb = 1.0
         x = n / (2**i)
-        top_up(lambda_prime(n, k, eps_p, ell_p) / x)
+        top_up(failing_path(k, i))
         if budget_switch:
             s_k = last_selection[:k]
             f_k = rr.coverage_of(s_k)
@@ -102,13 +151,14 @@ def primm(
             f_k = cov[-1] if len(cov) else 0.0
         if n * f_k >= (1 + eps_p) * x:              # line 14
             lb = n * f_k / (1 + eps_p)
-            top_up(lambda_star(n, k, EPS, ell_p) / lb)
+            top_up([lambda_star(n, k, EPS, ell_p) / lb])
             s += 1
             budget_switch = True
         else:
             i += 1
             budget_switch = False
     if s < len(b):                                  # lines 22-25 fallback
-        top_up(lambda_star(n, b[s], EPS, ell_p) / lb)
+        top_up([lambda_star(n, b[s], EPS, ell_p) / lb])
     seeds, coverage = rr.node_selection(b[0])       # line 26: b̄ = max budget
-    return PrimmResult(seeds=seeds, n_rr=len(rr), coverage=coverage)
+    return PrimmResult(seeds=seeds, n_rr=len(rr), coverage=coverage,
+                       sampled=sampled, sampling_calls=calls)

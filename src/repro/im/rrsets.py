@@ -22,7 +22,7 @@ from repro.graphs.generator import SocialGraph
 
 def sample_rr_sets(
     graph: SocialGraph,
-    n_rr: int,
+    n_rr: int | list[int],
     *,
     seed: int,
     id_offset: int = 0,
@@ -37,11 +37,22 @@ def sample_rr_sets(
     ``node_probs[u]`` — rejected nodes do not extend the BFS (used by the
     Com-IC baselines; plain IC keeps every node).
 
-    Returns a list of ``n_rr`` numpy arrays of node ids; ``id_offset``
-    shifts the coin keys so successive batches are independent.
+    Returns one numpy array of node ids per RR set, for RR ids
+    ``id_offset, id_offset + 1, …``; ``id_offset`` shifts the coin keys so
+    successive batches are independent. The roots of a batch at offset
+    ``o`` are the first draws of ``default_rng((seed, o))``, so a batch is
+    the prefix of any larger batch at the same offset. A list ``n_rr`` of
+    consecutive batch sizes draws each batch from its own offset's stream,
+    all in one job: ``sample_rr_sets(g, [a, b], id_offset=o)`` equals
+    ``sample_rr_sets(g, a, id_offset=o) + sample_rr_sets(g, b, id_offset=o + a)``.
     """
-    roots = np.random.default_rng((seed, id_offset)).integers(0, graph.n, size=n_rr)
-    ids = np.arange(n_rr, dtype=np.int64) + id_offset
+    sizes = [n_rr] if np.ndim(n_rr) == 0 else list(n_rr)
+    offsets = id_offset + np.cumsum([0] + sizes[:-1])
+    roots = np.concatenate([
+        np.random.default_rng((seed, int(o))).integers(0, graph.n, size=t)
+        for o, t in zip(offsets, sizes)
+    ])
+    ids = np.arange(len(roots), dtype=np.int64) + id_offset
     accept = None if node_probs is None else (seed + 7, node_probs)
     keys, nodes = reach_spark(graph, ids, roots, edge_seed=seed, key_type="long",
                               reverse=True, accept=accept)
@@ -61,6 +72,11 @@ class RRCollection:
     def extend(self, new_sets: list[np.ndarray]) -> None:
         self.sets.extend(new_sets)
 
+    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
+        """The sets concatenated: each member node and its RR set's index."""
+        lengths = [len(s) for s in self.sets]
+        return np.concatenate(self.sets), np.repeat(np.arange(len(self.sets)), lengths)
+
     def node_selection(self, k: int) -> tuple[list[int], np.ndarray]:
         """IMM's NodeSelection: greedy max ``k``-cover over the RR sets.
 
@@ -71,8 +87,7 @@ class RRCollection:
         n_rr = len(self.sets)
         if n_rr == 0:
             return [], np.zeros(0)
-        flat_nodes = np.concatenate(self.sets)
-        flat_rrs = np.repeat(np.arange(n_rr), [len(s) for s in self.sets])
+        flat_nodes, flat_rrs = self._flat()
         counts = np.bincount(flat_nodes, minlength=self.n).astype(np.int64)
         # inverted index node -> rr ids (CSR)
         order = np.argsort(flat_nodes, kind="stable")
@@ -101,5 +116,7 @@ class RRCollection:
             return 0.0
         seed_set = np.zeros(self.n, dtype=bool)
         seed_set[np.asarray(seeds, dtype=np.int64)] = True
-        hit = sum(1 for s in self.sets if len(s) and seed_set[s].any())
-        return hit / len(self.sets)
+        nodes, rrs = self._flat()
+        hit = np.zeros(len(self.sets), dtype=bool)
+        hit[rrs[seed_set[nodes]]] = True
+        return np.count_nonzero(hit) / len(self.sets)

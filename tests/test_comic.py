@@ -6,7 +6,7 @@ from repro.alloc import comic_baselines
 from repro.alloc.comic_baselines import adoption_frequency, rr_cim, rr_sim_plus
 from repro.core import configs
 from repro.graphs.generator import er_graph, power_law_graph
-from repro.im import primm
+from repro.im.imm import imm
 from repro.im.rrsets import sample_rr_sets
 
 
@@ -68,8 +68,9 @@ def test_comic_baselines_do_more_rr_work(graph):
 
 
 def test_comic_n_rr_counts_sampled_sets(graph, monkeypatch):
-    """RR-SIM⁺'s and RR-CIM's ``n_rr`` is the number of RR sets sampled:
-    IMM's plus those of their own weighted collections."""
+    """RR-SIM⁺'s and RR-CIM's ``n_rr`` is IMM's ``n_rr`` (the sets its
+    seeds come from, look-ahead tails not counted) plus the sets of their
+    own weighted collections: one for RR-SIM⁺, two for RR-CIM."""
     sampled = []
 
     def counting(*args, **kwargs):
@@ -77,13 +78,15 @@ def test_comic_n_rr_counts_sampled_sets(graph, monkeypatch):
         sampled.append(len(sets))
         return sets
 
-    for module in (primm, comic_baselines):
-        monkeypatch.setattr(module, "sample_rr_sets", counting)
+    monkeypatch.setattr(comic_baselines, "sample_rr_sets", counting)
     m = configs.two_item_model(1)
-    for allocate in (rr_sim_plus, rr_cim):
+    for allocate, imm_budget, own_calls in ((rr_sim_plus, 3, 1), (rr_cim, 4, 2)):
         sampled.clear()
-        assert allocate(graph, m, 4, 3, seed=6).n_rr == sum(sampled)
-        assert len(sampled) > 1
+        base = imm(graph, imm_budget, seed=6)
+        res = allocate(graph, m, 4, 3, seed=6)
+        assert res.n_rr == base.n_rr + sum(sampled)
+        assert len(sampled) == own_calls
+        assert res.sampling_calls == base.sampling_calls + own_calls
 
 
 def test_rr_sim_plus_complementary_config_copies_hubs(graph):

@@ -1,7 +1,10 @@
 """Tests for RR-set sampling, NodeSelection, IMM and PRIMM."""
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.alloc.greedy_wm import greedy_wm
 from repro.diffusion.ic import spread_mc
 from repro.graphs.generator import fig1_graph, power_law_graph
 from repro.im.imm import imm
@@ -44,6 +47,24 @@ def test_rr_batches_independent(graph):
     assert not all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
+def test_rr_batch_list_is_consecutive_scalar_calls(graph):
+    """A list of batch sizes draws each batch from its own offset's root
+    stream, in one call: the same sets as one scalar call per batch."""
+    batched = sample_rr_sets(graph, [7, 1, 12], seed=5, id_offset=40)
+    apart = [s for o, t in ((40, 7), (47, 1), (48, 12))
+             for s in sample_rr_sets(graph, t, seed=5, id_offset=o)]
+    assert len(batched) == 20
+    assert all(np.array_equal(x, y) for x, y in zip(batched, apart))
+
+
+def test_rr_batch_is_prefix_of_larger_batch(graph):
+    """What look-ahead sampling relies on: a batch of ``t`` sets is the
+    first ``t`` sets of a batch of ``T > t`` at the same offset."""
+    small = sample_rr_sets(graph, 9, seed=5, id_offset=30)
+    large = sample_rr_sets(graph, 25, seed=5, id_offset=30)
+    assert all(np.array_equal(x, y) for x, y in zip(small, large[:9]))
+
+
 def test_node_prob_filter_shrinks_sets(graph):
     full = sample_rr_sets(graph, 60, seed=6)
     filtered = sample_rr_sets(
@@ -71,6 +92,18 @@ def test_coverage_of_matches_node_selection():
     rr.extend([rng.choice(6, size=rng.integers(1, 4), replace=False) for _ in range(40)])
     seeds, cov = rr.node_selection(3)
     assert rr.coverage_of(seeds) == pytest.approx(cov[-1])
+
+
+def test_coverage_of_equals_the_per_set_loop():
+    """The vectorised count gives the per-set loop's fraction, bit for bit,
+    empty sets and repeated seeds included."""
+    rr = RRCollection(50)
+    rng = np.random.default_rng(1)
+    rr.extend([rng.choice(50, size=rng.integers(0, 6), replace=False) for _ in range(997)])
+    for seeds in ([], [3], [7, 7, 12], list(range(0, 50, 3))):
+        mask = np.isin(np.arange(50), seeds)
+        hits = sum(1 for s in rr.sets if len(s) and mask[s].any())
+        assert rr.coverage_of(seeds) == hits / len(rr)
 
 
 def test_empty_collection():
@@ -141,3 +174,58 @@ def test_primm_seed_order_is_greedy_order(graph):
     pres = primm(graph, [6], seed=7)
     assert len(pres.coverage) == 6
     assert np.all(np.diff(pres.coverage) >= -1e-12)
+
+
+# Seeds, n_rr, F_R (as float.hex) and a digest of the RR sets of PRIMM on
+# the module graph, recorded before sampling looked ahead, when every top-up
+# was its own sampling call.
+PRIMM_RECORDED = {
+    # IMM: the λ* top-up is a prefix of the next doubling batch
+    "lambda-star-prefix": ([6], 7, [174, 84, 181, 185, 58, 160], 1060, [
+        "0x1.26a439f656f18p-2", "0x1.8172f55fa342bp-2", "0x1.b0c8ef93cdc42p-2",
+        "0x1.cade304d4873fp-2", "0x1.df279b8836192p-2", "0x1.f1826a439f657p-2"],
+        "42238c402a41fea6"),
+    # IMM: the λ* top-up (548 sets) outruns the doubling batch (546) it starts with
+    "lambda-star-longer": ([1], 31, [174], 1095, ["0x1.197bacc55197cp-2"], "a4e2864240ef5e7c"),
+    # the second, equal budget passes on the first one's collection, then tops up
+    "equal-budgets": ([10, 10], 0, [174, 84, 181, 191, 117, 147, 35, 66, 189, 115], 1364, [
+        "0x1.3b4ed3b4ed3b5p-2", "0x1.8a2288a2288a2p-2", "0x1.afabeafabeafbp-2",
+        "0x1.c6318c6318c63p-2", "0x1.d8f63d8f63d8fp-2", "0x1.e8ba2e8ba2e8cp-2",
+        "0x1.f7bdef7bdef7cp-2", "0x1.02a0a82a0a82ap-1", "0x1.08a2288a2288ap-1",
+        "0x1.0e4390e4390e4p-1"], "ddaf63ae8a4b8e51"),
+    # the smaller budget's λ* top-up starts where no batch was sampled ahead
+    "distinct-budgets": ([3, 1], 2, [174, 84, 181], 1110, [
+        "0x1.0e4c91c230e4dp-2", "0x1.60675290d6067p-2", "0x1.8f73c6cdb8f74p-2"],
+        "a9e79cd3fe86e16c"),
+}
+
+
+@pytest.mark.parametrize("case", PRIMM_RECORDED)
+def test_primm_lookahead_keeps_recorded_output(graph, case, monkeypatch):
+    budgets, seed, seeds, n_rr, coverage, digest = PRIMM_RECORDED[case]
+    selected_from = []
+
+    class Recording(RRCollection):
+        def node_selection(self, k):
+            h = hashlib.sha256()
+            for s in self.sets:
+                h.update(np.asarray(s, np.int64).tobytes() + b"|")
+            selected_from.append(h.hexdigest()[:16])
+            return super().node_selection(k)
+
+    monkeypatch.setattr("repro.im.primm.RRCollection", Recording)
+    res = primm(graph, budgets, seed=seed)
+    assert res.seeds == seeds
+    assert res.n_rr == n_rr
+    assert [float(c).hex() for c in res.coverage] == coverage
+    assert selected_from[-1] == digest     # line 26's collection, set by set
+    assert res.sampled >= res.n_rr
+
+
+def test_primm_sampling_calls(graph):
+    """Look-ahead sampling: IMM draws all its RR sets in one Spark job, and
+    greedyWM [10,10] in at most two (the second budget's λ* top-up starts
+    at an offset known only after the first budget's check)."""
+    res = imm(graph, 6, seed=7)
+    assert res.sampling_calls == 1
+    assert greedy_wm(graph, [10, 10], seed=0).sampling_calls <= 2
