@@ -2,8 +2,8 @@
 
 The simulator runs many *(allocation × edge-world × noise-world)*
 scenarios in one Spark job: ``diffusion.reach.cascade`` runs each
-scenario's whole cascade inside one task, over sparse ``(scenario, node,
-desire, adopt)`` state (itemsets as int bitmasks). Each superstep:
+scenario's whole cascade inside one task, over dense ``(scenario, node)``
+state (itemsets as int bitmasks). Each superstep:
 
 1. nodes whose adoption set grew last step send it along their out-edges
    that are live by a deterministic coin keyed ``(world, src, dst)`` —
@@ -61,7 +61,7 @@ def _run_simulation(
 ) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
     """Run EPIC to a fixed point for all (allocation, world) scenarios.
 
-    Returns the final sparse state as arrays (alloc, world, node, adopt) in
+    Returns the reached state rows as arrays (alloc, world, node, adopt) in
     ``_loop_order``'s row order, plus the (W, 2^n) per-world utility arrays.
     """
     rng = np.random.default_rng(seed)
@@ -75,13 +75,10 @@ def _run_simulation(
     alloc, world, node, mask = np.array(rows, np.int64).T
     scen = alloc * n_worlds + world
 
-    def local(csr, mine):
-        return cascade(
-            csr, scen[mine], node[mine], mask[mine], n_worlds=n_worlds, kind=kind,
-            tables=tables, edge_seed=seed + 1, cap=MAX_SUPERSTEPS,
-        )
-
-    states, steps = zip(*run_sharded(graph, scen, node, local))
+    states, steps = zip(*run_sharded(
+        graph, cascade, scen, node, mask, n_worlds=n_worlds, kind=kind, tables=tables,
+        edge_seed=seed + 1, cap=MAX_SUPERSTEPS,
+    ))
     if max(steps) > MAX_SUPERSTEPS:
         raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
     s, v, a, t = (np.concatenate(c) for c in zip(*states))

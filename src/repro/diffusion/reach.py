@@ -79,6 +79,15 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray, p: np.ndarray) -> tuple:
     return by(src, dst), by(dst, src)
 
 
+def _out_edges(ptr: np.ndarray, nbr: np.ndarray, frontier: np.ndarray, n: int) -> tuple:
+    """Every edge out of the packed ``key * n + node`` ids in ``frontier``:
+    its key, source, target and index into ``nbr``."""
+    k, u = np.divmod(frontier, n)
+    deg = ptr[u + 1] - ptr[u]
+    e = np.repeat(ptr[u] + deg - np.cumsum(deg), deg) + np.arange(deg.sum())
+    return np.repeat(k, deg), np.repeat(u, deg), nbr[e], e
+
+
 def reach(
     csr: tuple, keys: np.ndarray, starts: np.ndarray, *, edge_seed: int, key_type: str,
     reverse: bool = False, accept: tuple[int, np.ndarray] | None = None,
@@ -99,14 +108,11 @@ def reach(
     frontier = visited = np.unique(kidx * n + starts)
     kept = [visited[:0]]
     while len(frontier):
-        k, u = np.divmod(frontier, n)
         if accept is not None:
-            ok = coin(accept[0], (ukeys[k], key_type), (u, "long")) < accept[1][u]
-            frontier, k, u = frontier[ok], k[ok], u[ok]
+            k, u = np.divmod(frontier, n)
+            frontier = frontier[coin(accept[0], (ukeys[k], key_type), (u, "long")) < accept[1][u]]
         kept.append(frontier)
-        deg = ptr[u + 1] - ptr[u]
-        e = np.repeat(ptr[u] + deg - np.cumsum(deg), deg) + np.arange(deg.sum())
-        k, u, v = np.repeat(k, deg), np.repeat(u, deg), nbr[e]
+        k, u, v, e = _out_edges(ptr, nbr, frontier, n)
         src, dst = (v, u) if reverse else (u, v)
         live = coin(edge_seed, (ukeys[k], key_type), (src, "long"), (dst, "long")) < prob[e]
         reached = np.unique(k[live] * n + v[live])
@@ -126,68 +132,56 @@ def cascade(
     their world (``coin(edge_seed, world, u, v) < p``); a receiver ORs the
     masks into its desire and adopts ``a | tables[w, desire]`` (``kind="g"``)
     or ``tables[w, desire, a]``. Returns every state row as ``(scenario,
-    node, adopt, last superstep that touched it or 0)``, and the supersteps
-    run, ``cap + 1`` if adoptions still changed after ``cap``."""
+    node, adopt, last superstep that touched it or 0)``, sorted, and the
+    supersteps run, ``cap + 1`` if adoptions still changed after ``cap``.
+
+    The state is dense: cell ``i * n + v`` is node v of the i-th smallest
+    scenario, and ``touched = -1`` marks a node no seed or message reached."""
     ptr, nbr, prob = csr[0]
     n = len(ptr) - 1
+    uscen, local = np.unique(scen, return_inverse=True)
+    world = uscen % n_worlds
+    desire, adopt = np.zeros((2, len(uscen) * n), np.int64)
+    touched = np.full(len(desire), -1, np.int32)
 
-    def adopt_of(ids, desire, prev):
-        w = ids // n % n_worlds
-        return prev | tables[w, desire] if kind == "g" else tables[w, desire, prev]
+    def update(ids, step):
+        """Adopt from the tables at cells ``ids``; the cells whose adoption changed."""
+        prev, w = adopt[ids], world[ids // n]
+        adopt[ids] = prev | tables[w, desire[ids]] if kind == "g" else tables[w, desire[ids], prev]
+        touched[ids] = step
+        return ids[adopt[ids] != prev]
 
-    order = np.argsort(scen * n + starts)
-    ids, desire = (scen * n + starts)[order], masks[order]
-    touched = np.zeros(len(ids), np.int32)
-    adopt = adopt_of(ids, desire, np.zeros_like(desire))
-    frontier, sent = ids[adopt != 0], adopt[adopt != 0]
-    step = 0
+    ids = local * n + starts
+    desire[ids] = masks
+    frontier, step = update(ids, 0), 0
     while len(frontier) and step < cap:
         step += 1
-        k, u = np.divmod(frontier, n)
-        deg = ptr[u + 1] - ptr[u]
-        e = np.repeat(ptr[u] + deg - np.cumsum(deg), deg) + np.arange(deg.sum())
-        k, u, v, m = np.repeat(k, deg), np.repeat(u, deg), nbr[e], np.repeat(sent, deg)
-        live = coin(edge_seed, (k % n_worlds, "int"), (u, "long"), (v, "long")) < prob[e]
+        k, u, v, e = _out_edges(ptr, nbr, frontier, n)
+        live = coin(edge_seed, (world[k], "int"), (u, "long"), (v, "long")) < prob[e]
         to = k[live] * n + v[live]
-        by = np.argsort(to, kind="stable")
-        dst, first = np.unique(to[by], return_index=True)
-        msg = np.bitwise_or.reduceat(m[live][by], first) if len(dst) else m[:0]
-        new = ~np.isin(dst, ids, assume_unique=True)
-        at = np.searchsorted(ids, dst[new])
-        ids = np.insert(ids, at, dst[new])
-        desire, adopt, touched = (np.insert(a, at, 0) for a in (desire, adopt, touched))
-        pos = np.searchsorted(ids, dst)
-        prev = adopt[pos]
-        desire[pos] |= msg
-        adopt[pos] = adopt_of(dst, desire[pos], prev)
-        touched[pos] = step
-        changed = adopt[pos] != prev
-        frontier, sent = dst[changed], adopt[pos][changed]
-    return (ids // n, ids % n, adopt, touched), step + (len(frontier) > 0)
+        np.bitwise_or.at(desire, to, adopt[k[live] * n + u[live]])
+        frontier = update(np.unique(to), step)
+    rows = np.flatnonzero(touched >= 0)
+    return (uscen[rows // n], rows % n, adopt[rows], touched[rows]), step + (len(frontier) > 0)
 
 
-def run_sharded(graph, keys: np.ndarray, nodes: np.ndarray, local) -> list:
-    """One Spark job: task i of ``defaultParallelism`` returns ``local(csr,
-    keys % n_shards == i)``; returns the tasks' results in task order.
-    The kernels pack ``(key, node)`` as ``key * n + node``, so ``nodes``
-    must be ids of the graph's nodes."""
+def run_sharded(graph, kernel, keys: np.ndarray, nodes: np.ndarray, *arrays, **kw) -> list:
+    """One Spark job: task i of ``defaultParallelism`` returns ``kernel(csr,
+    keys[mine], nodes[mine], *(a[mine] for a in arrays), **kw)`` with
+    ``mine = keys % n_shards == i``; returns the tasks' results in task
+    order. Each task receives only its own shard. The kernels pack ``(key,
+    node)`` as ``key * n + node``, so ``nodes`` must be ids of the graph's
+    nodes."""
     if len(nodes) and not 0 <= np.min(nodes) <= np.max(nodes) < graph.n:
         raise ValueError(f"node ids must lie in [0, {graph.n}) on graph {graph.name}")
     sc, csr = graph.spark.sparkContext, graph.csr
     n_shards = sc.defaultParallelism
-
-    def run(shard):
-        for i in shard:
-            yield local(csr.value, keys % n_shards == i)
-
-    return sc.parallelize(range(n_shards), n_shards).mapPartitions(run).collect()
+    shards = [[a[keys % n_shards == i] for a in (keys, nodes, *arrays)] for i in range(n_shards)]
+    return sc.parallelize(shards, n_shards).map(lambda s: kernel(csr.value, *s, **kw)).collect()
 
 
 def reach_spark(graph, keys, starts, **kw) -> tuple[np.ndarray, np.ndarray]:
     """``reach`` of each key in one ``run_sharded`` job, sorted by key."""
-    def local(csr, mine):
-        return reach(csr, keys[mine], starts[mine], **kw)
-
-    k, v = (np.concatenate(c) for c in zip(*run_sharded(graph, keys, starts, local)))
+    k, v = (np.concatenate(c) for c in zip(*run_sharded(graph, reach, keys, starts, **kw)))
     order = np.argsort(k, kind="stable")
     return k[order], v[order]

@@ -51,8 +51,9 @@ _warm_up = cache(lambda graph: spread_mc(graph, [0], n_worlds=1))
 
 
 def _allocate(graph: SocialGraph, model, name: str, budgets) -> tuple[AllocationResult, float]:
-    """Run allocator ``name`` at ``budgets`` (one per item): the
-    allocation and its wall time in seconds, after an untimed warm-up."""
+    """Run allocator ``name`` at ``budgets`` (one per item) three times,
+    after an untimed warm-up: the allocation (every call returns the same)
+    and the median wall time of the calls in seconds."""
     b = list(budgets)
     run = {
         "greedyWM": lambda: greedy_wm(graph, b, seed=SEED),
@@ -62,9 +63,12 @@ def _allocate(graph: SocialGraph, model, name: str, budgets) -> tuple[Allocation
         "RR-CIM": lambda: rr_cim(graph, model, *b, seed=SEED),
     }[name]
     _warm_up(graph)
-    t0 = time.perf_counter()
-    res = run()
-    return res, time.perf_counter() - t0
+    times = []
+    for _ in range(3):
+        t0 = time.perf_counter()
+        res = run()
+        times.append(time.perf_counter() - t0)
+    return res, float(np.median(times))
 
 
 def _allocator(graph: SocialGraph):

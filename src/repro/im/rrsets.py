@@ -47,6 +47,8 @@ def sample_rr_sets(
     ``sample_rr_sets(g, a, id_offset=o) + sample_rr_sets(g, b, id_offset=o + a)``.
     """
     sizes = [n_rr] if np.ndim(n_rr) == 0 else list(n_rr)
+    if not sum(sizes):
+        return []
     offsets = id_offset + np.cumsum([0] + sizes[:-1])
     roots = np.concatenate([
         np.random.default_rng((seed, int(o))).integers(0, graph.n, size=t)
@@ -107,6 +109,7 @@ class RRCollection:
                     n_cov += 1
                     s = self.sets[rr]
                     counts[s] -= 1
+            counts[v] = -1  # never picked twice, even once every set is covered
             coverage.append(n_cov / n_rr)
         return seeds, np.asarray(coverage)
 

@@ -116,6 +116,32 @@ def test_kernel_alone_is_reachability(spark):
             assert v[k == i].tolist() == sorted(want)
 
 
+def test_cascade_kernel_alone_is_epic(spark):
+    """No Spark in the kernel: with p = 1 and the identity g-table (every
+    node adopts all it desires), a scenario's rows are the nodes its seeds
+    reach, each adopting the OR of the masks of the seeds that reach it.
+    An empty shard (fewer scenarios than tasks) gives no rows."""
+    e = np.array(FIG1_EDGES)
+    csr = reach.build_csr(7, e[:, 0], e[:, 1], np.ones(len(e)))
+    fig1 = fig1_graph(spark)
+    seeds = {0: {0: 0b01, 4: 0b10}, 3: {6: 0b11}, 5: {1: 0b01, 2: 0b10, 5: 0b100}, 6: {3: 0b111}}
+    scen, starts, masks = (np.array(c) for c in zip(*[
+        (s, v, m) for s, alloc in seeds.items() for v, m in alloc.items()
+    ]))
+    kw = dict(n_worlds=2, kind="g", tables=np.tile(np.arange(8), (2, 1)), edge_seed=0, cap=10)
+    (at, node, adopt, _), steps = reach.cascade(csr, scen, starts, masks, **kw)
+    assert steps <= 4
+    for s, alloc in seeds.items():
+        got = dict(zip(node[at == s].tolist(), adopt[at == s].tolist()))
+        assert set(got) == exact_reachable(fig1, list(alloc))
+        for v, a in got.items():
+            reaching = [m for u, m in alloc.items() if v in exact_reachable(fig1, [u])]
+            assert a == np.bitwise_or.reduce(reaching)
+    empty = np.zeros(0, np.int64)
+    rows, steps = reach.cascade(csr, empty, empty, empty, **kw)
+    assert steps == 0 and [len(c) for c in rows] == [0, 0, 0, 0]
+
+
 def _welfare(res) -> str:
     return _digest({k: [float(x).hex() for x in r.per_world_welfare] for k, r in res.items()})
 

@@ -57,6 +57,12 @@ def test_rr_batch_list_is_consecutive_scalar_calls(graph):
     assert all(np.array_equal(x, y) for x, y in zip(batched, apart))
 
 
+def test_rr_sample_of_nothing_is_empty(graph):
+    """No batch, or one batch of no sets, gives no RR sets."""
+    assert sample_rr_sets(graph, 0, seed=5) == []
+    assert sample_rr_sets(graph, [], seed=5) == []
+
+
 def test_rr_batch_is_prefix_of_larger_batch(graph):
     """What look-ahead sampling relies on: a batch of ``t`` sets is the
     first ``t`` sets of a batch of ``T > t`` at the same offset."""
@@ -84,6 +90,9 @@ def test_node_selection_greedy_cover():
     assert cov[0] == pytest.approx(3 / 5)
     assert seeds[1] == 4                 # covers remaining 2
     assert cov[1] == pytest.approx(1.0)
+    seeds, cov = rr.node_selection(4)   # all covered after 2: lowest unpicked ids
+    assert seeds == [0, 4, 1, 2]
+    assert cov[-1] == pytest.approx(1.0)
 
 
 def test_coverage_of_matches_node_selection():
@@ -120,6 +129,12 @@ def test_imm_fig1_picks_v5_then_v1(spark):
     g = fig1_graph(spark)
     res = imm(g, 2, seed=0)
     assert res.seeds[:2] == [4, 0]
+
+
+def test_imm_fig1_seeds_are_distinct(spark):
+    """Past full coverage NodeSelection adds unpicked nodes, not node 0 again."""
+    seeds = imm(fig1_graph(spark), 4, seed=0).seeds
+    assert seeds[:2] == [4, 0] and len(set(seeds)) == 4
 
 
 def test_lambda_formulas_monotone_in_k():
