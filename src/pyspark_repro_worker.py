@@ -1,0 +1,42 @@
+"""The Python worker module ``get_spark`` sets as ``spark.python.worker.module``.
+
+Before each task, PySpark's ``worker_util.setup_spark_files`` calls
+``importlib.invalidate_caches()``. On CPython 3.11 that makes every
+``zipimporter`` in ``sys.path_importer_cache`` re-read its archive's central
+directory: in a reused worker, 16 importers over ``pyspark.zip``, the py4j
+zip and Spark's core jar read 26,672 entries, about 110 ms a task. The
+archives on a worker's path do not change during a run, so this module's
+``invalidate_caches`` leaves them out and invalidates every other finder as
+before: a ``.py`` shipped with ``addPyFile`` still imports.
+
+``pyspark.daemon`` imports a worker module only if its name starts with
+``pyspark``, once, when it starts, so this file lives outside the ``repro``
+package and imports nothing from it.
+"""
+import importlib
+import sys
+import zipimport
+
+_invalidate_all = importlib.invalidate_caches
+
+
+def invalidate_caches() -> None:
+    """``importlib.invalidate_caches`` for every finder but the zipimporters."""
+    zips = {k: f for k, f in sys.path_importer_cache.items()
+            if isinstance(f, zipimport.zipimporter)}
+    for k in zips:
+        del sys.path_importer_cache[k]
+    try:
+        _invalidate_all()
+    finally:
+        sys.path_importer_cache.update(zips)
+
+
+importlib.invalidate_caches = invalidate_caches
+
+if __name__ == "__main__":  # started without the daemon: spark.python.use.daemon=false, Windows
+    import runpy
+
+    runpy.run_module("pyspark.worker", run_name="__main__")
+else:
+    from pyspark.worker import main  # noqa: F401  (what pyspark.daemon calls)

@@ -46,6 +46,7 @@ class WelfareResult:
     welfare: float           # expected social welfare ρ(S)
     adoptions: float         # expected adoption count α(S)
     per_world_welfare: np.ndarray
+    supersteps: int          # the EPIC call's last superstep that changed an adoption
 
 
 def allocation_from_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
@@ -58,11 +59,13 @@ def allocation_from_pairs(pairs: Iterable[tuple[int, int]]) -> dict[int, int]:
 
 def _run_simulation(
     graph, model: UtilityModel, allocations: Mapping[str, Allocation], *, n_worlds: int, seed: int,
-) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+) -> tuple[tuple[np.ndarray, ...], np.ndarray, int]:
     """Run EPIC to a fixed point for all (allocation, world) scenarios.
 
     Returns the reached state rows as arrays (alloc, world, node, adopt) in
-    ``_loop_order``'s row order, plus the (W, 2^n) per-world utility arrays.
+    ``_loop_order``'s row order, the (W, 2^n) per-world utility arrays, and
+    the last superstep in which any scenario's adoption changed (the kernel
+    runs one more, quiet, to see that; 0 if no seed adopts anything).
     """
     rng = np.random.default_rng(seed)
     noises = np.stack([model.sample_noise(rng) for _ in range(n_worlds)])
@@ -71,7 +74,7 @@ def _run_simulation(
     rows = [(ai, w, int(v), int(m)) for ai, name in enumerate(allocations)
             for v, m in allocations[name].items() for w in range(n_worlds) if m]
     if not rows:
-        return tuple(np.zeros((4, 0), np.int64)), util
+        return tuple(np.zeros((4, 0), np.int64)), util, 0
     alloc, world, node, mask = np.array(rows, np.int64).T
     scen = alloc * n_worlds + world
 
@@ -83,7 +86,7 @@ def _run_simulation(
         raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
     s, v, a, t = (np.concatenate(c) for c in zip(*states))
     order = _loop_order(graph.n, s, v, t, max(steps), n_worlds, scen * graph.n + node)
-    return (*np.divmod(s[order], n_worlds), v[order], a[order]), util
+    return (*np.divmod(s[order], n_worlds), v[order], a[order]), util, max(max(steps) - 1, 0)
 
 
 def _loop_order(n: int, scen, node, touched, steps, n_worlds: int, seed_keys) -> np.ndarray:
@@ -116,7 +119,7 @@ def simulate_welfare_multi(
     seed: int = 0,
 ) -> dict[str, WelfareResult]:
     """Estimate ρ and α for several allocations under shared worlds."""
-    (alloc, world, _, adopt), util = _run_simulation(
+    (alloc, world, _, adopt), util, supersteps = _run_simulation(
         graph, model, allocations, n_worlds=n_worlds, seed=seed
     )
     # bincount adds each cell's terms one by one in row order from 0.0, so
@@ -124,8 +127,8 @@ def simulate_welfare_multi(
     a, w = len(allocations), n_worlds
     per_world = np.bincount(alloc * w + world, util[world, adopt], a * w).reshape(a, w)
     adoptions = np.bincount(alloc, popcount(adopt), a) / w
-    return {name: WelfareResult(float(per_world[i].mean()), float(adoptions[i]), per_world[i])
-            for i, name in enumerate(allocations)}
+    return {name: WelfareResult(float(per_world[i].mean()), float(adoptions[i]), per_world[i],
+                                supersteps) for i, name in enumerate(allocations)}
 
 
 def simulate_welfare(
@@ -152,7 +155,7 @@ def final_adoptions(
 ) -> dict[str, np.ndarray]:
     """Per-(world, node) final adoption masks as arrays ``world``, ``node``
     and ``adopt`` — for tests and for RR-CIM's item-1 adoption count."""
-    (_, world, node, adopt), _ = _run_simulation(
+    (_, world, node, adopt), *_ = _run_simulation(
         graph, model, {"only": allocation}, n_worlds=n_worlds, seed=seed
     )
     return {"world": world, "node": node, "adopt": adopt}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+from importlib.util import find_spec
 
 from pyspark.sql import SparkSession
 
@@ -27,7 +28,11 @@ def driver_memory() -> tuple[str, str]:
 
 def get_spark(app: str = "repro-job") -> SparkSession:
     """A local session. The JVM reads master and driver memory at launch,
-    from ``PYSPARK_SUBMIT_ARGS``."""
+    from ``PYSPARK_SUBMIT_ARGS``. The Python workers run through
+    ``pyspark_repro_worker`` (DESIGN.md), whose directory reaches them
+    through the executor environment, also when the JVM is already up."""
+    worker = "pyspark_repro_worker"
+    here = os.path.dirname(find_spec(worker).origin)
     os.environ.setdefault(
         "PYSPARK_SUBMIT_ARGS",
         f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -40,6 +45,8 @@ def get_spark(app: str = "repro-job") -> SparkSession:
         .config("spark.sql.shuffle.partitions", "32")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.showConsoleProgress", "false")
+        .config("spark.python.worker.module", worker)
+        .config("spark.executorEnv.PYTHONPATH", here)
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

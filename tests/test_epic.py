@@ -214,3 +214,32 @@ def test_superstep_cap_raises(fig1, example, monkeypatch):
     monkeypatch.setattr(epic, "MAX_SUPERSTEPS", 1)
     with pytest.raises(RuntimeError, match="supersteps"):
         final_adoptions(fig1, example, {0: 0b011}, n_worlds=1, seed=0)
+
+
+def _eccentricity(seeds) -> int:
+    """The largest BFS distance from ``seeds`` to a node they reach on Fig. 1."""
+    seen, frontier, depth = set(seeds), set(seeds), -1
+    while frontier:
+        depth += 1
+        frontier = {v for u, v in FIG1_EDGES if u in frontier} - seen
+        seen |= frontier
+    return depth
+
+
+@pytest.mark.parametrize("seeds", [[0], [4], [0, 4], [2, 6], [3]])
+def test_supersteps_are_the_seeds_eccentricity(fig1, example, seeds):
+    """p = 1 and the all-items bundle, which every node adopts: the cascade
+    changes adoptions for exactly as many supersteps as the seeds' BFS
+    eccentricity. One call reports the deepest of its allocations."""
+    r = simulate_welfare(fig1, example, dict.fromkeys(seeds, 0b111), n_worlds=2, seed=0)
+    assert r.supersteps == _eccentricity(seeds)
+    res = simulate_welfare_multi(
+        fig1, example, {"seeds": dict.fromkeys(seeds, 0b111), "v1": {0: 0b111}}, n_worlds=2, seed=0
+    )
+    assert {x.supersteps for x in res.values()} == {max(_eccentricity(seeds), 3)}
+
+
+def test_supersteps_zero_when_nothing_adopts(fig1, example):
+    """A lone i1 seed adopts nothing, and an empty allocation seeds nothing."""
+    assert simulate_welfare(fig1, example, {0: 0b001}, n_worlds=2, seed=0).supersteps == 0
+    assert simulate_welfare(fig1, example, {}, n_worlds=2, seed=0).supersteps == 0
