@@ -145,31 +145,43 @@ def g_table(utilities: np.ndarray, n_items: int) -> np.ndarray:
 
 
 def pair_table(utilities: np.ndarray, n_items: int) -> np.ndarray:
-    """Full constrained-argmax lookup ``T[D, A_prev] → adopt``.
+    """Full constrained-argmax lookup ``T[..., D, A_prev] → adopt``, one
+    table per row of ``utilities`` (shape ``(..., 2^n)``).
 
     ``T[d, a]`` is the utility-maximizing itemset among
     ``{T : a ⊆ T ⊆ d}``, ties broken by larger cardinality then larger
     mask. Entries with ``a ⊄ d`` are never queried (adoption ⊆ desire) and
     are left as ``a``. Works for any utility function — used for the real
     (non-supermodular) eBay configuration. O(4^n); callers gate n ≤ 8.
+
+    Every ``a ⊆ d`` cell of every table scans its candidates at once, in
+    the order of a per-cell scan: start at ``a``, then candidate ``j`` is
+    ``a | submasks(d & ~a)[j]``, taken if its utility beats the best so far
+    by 1e-12, or ties it within 1e-12 with a larger (cardinality, mask).
+    The 1e-12 tie is not transitive, so the order fixes the result.
     """
     assert n_items <= 8, "pair table is O(4^n); use g_table for larger n"
     size = 1 << n_items
-    table = np.tile(np.arange(size, dtype=np.int16), (size, 1))
-    # table[d, a] initialised to a (identity); fill the a ⊆ d cells.
-    for d in range(size):
-        for a in submasks(d):
-            free = d & ~a
-            best_t, best_u, best_c = a, utilities[a], popcount(a)
-            for s in submasks(free):
-                t = a | s
-                u, c = utilities[t], popcount(t)
-                if (
-                    u > best_u + 1e-12
-                    or (abs(u - best_u) <= 1e-12 and (c, t) > (best_c, best_t))
-                ):
-                    best_t, best_u, best_c = t, u, c
-            table[d, a] = best_t
+    d, a = np.array([(x, y) for x in range(size) for y in submasks(x)]).T
+    subs = np.full((size, size), -1)  # subs[f, j] = submasks(f)[j], -1 past the last
+    for f in range(size):
+        s = submasks(f)
+        subs[f, : len(s)] = s
+    cand = subs[d & ~a]
+    count = popcount(np.arange(size))
+    best_t = np.broadcast_to(a, utilities.shape[:-1] + a.shape)
+    best_u = utilities[..., a]
+    for j in range(size):
+        t = a | cand[:, j]
+        u, c, best_c = utilities[..., t], count[t], count[best_t]
+        take = (cand[:, j] >= 0) & (
+            (u > best_u + 1e-12)
+            | ((abs(u - best_u) <= 1e-12) & ((c > best_c) | ((c == best_c) & (t > best_t))))
+        )
+        best_t = np.where(take, t, best_t)
+        best_u = np.where(take, u, best_u)
+    table = np.tile(np.arange(size, dtype=np.int16), utilities.shape[:-1] + (size, 1))
+    table[..., d, a] = best_t
     return table
 
 
@@ -194,7 +206,4 @@ def adoption_tables_for_worlds(
         "non-supermodular valuations need the O(4^n) pair table; "
         f"n_items={model.n_items} is too large"
     )
-    tables = np.stack(
-        [pair_table(util[i], model.n_items) for i in range(w)]
-    ).astype(np.int32)
-    return "pair", tables, util
+    return "pair", pair_table(util, model.n_items).astype(np.int32), util

@@ -30,7 +30,7 @@ from repro.core.itemsets import popcount
 from repro.core.utility import UtilityModel, adoption_tables_for_worlds
 from repro.diffusion.reach import cascade, run_sharded, spark_hash
 
-MAX_SUPERSTEPS = 120
+MAX_SUPERSTEPS = 120  # the last superstep that may change an adoption
 #: The replaced Spark loop's shuffle partitions and seed-row input slices
 #: (the jobs' session on a 4-core box), which fix ``_loop_order``.
 LOOP_PARTITIONS, LOOP_SLICES = 32, 4
@@ -80,9 +80,11 @@ def _run_simulation(
 
     states, steps = zip(*run_sharded(
         graph, cascade, scen, node, mask, n_worlds=n_worlds, kind=kind, tables=tables,
-        edge_seed=seed + 1, cap=MAX_SUPERSTEPS,
+        edge_seed=seed + 1, cap=MAX_SUPERSTEPS + 1,
     ))
-    if max(steps) > MAX_SUPERSTEPS:
+    # one superstep past the cap tells a cascade that converged at the cap
+    # from one that did not
+    if max(steps) - 1 > MAX_SUPERSTEPS:
         raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
     s, v, a, t = (np.concatenate(c) for c in zip(*states))
     order = _loop_order(graph.n, s, v, t, max(steps), n_worlds, scen * graph.n + node)

@@ -104,7 +104,7 @@ def welfare_table(graph: SocialGraph, model, runs: Runs) -> pd.DataFrame:
             "adoptions": round(r.adoptions, 1),
             "vs_greedyWM": round(diff.mean(), 1),
             "se": round(diff.std(ddof=1) / np.sqrt(N_WORLDS), 1),
-            "alloc_time_s": round(t, 1),
+            "alloc_time_s": round(t, 3),
         })
     return pd.DataFrame(rows)
 
@@ -112,7 +112,7 @@ def welfare_table(graph: SocialGraph, model, runs: Runs) -> pd.DataFrame:
 def _timing_row(graph: SocialGraph, model, name: str, budgets, **columns) -> dict:
     res, t = _allocate(graph, model, name, budgets)
     return {"network": graph.name, **columns, "algorithm": name,
-            "time_s": round(t, 1), "note": f"n_rr={res.n_rr} calls={res.sampling_calls}"}
+            "time_s": round(t, 3), "note": f"n_rr={res.n_rr} calls={res.sampling_calls}"}
 
 
 def skewed_budgets(n_items: int, total: int) -> list[int]:

@@ -2,10 +2,17 @@
 ``spark`` fixture all call ``get_spark``."""
 from __future__ import annotations
 
+import atexit
+import functools
 import os
+import shutil
+import tempfile
+import uuid
 from importlib.util import find_spec
 
 from pyspark.sql import SparkSession
+
+SUN_PATH_MAX = 107  # bytes in a Linux AF_UNIX socket path, without its NUL
 
 
 def driver_memory() -> tuple[str, str]:
@@ -26,11 +33,27 @@ def driver_memory() -> tuple[str, str]:
     return "8g", "fallback"
 
 
+@functools.cache
+def socket_dir() -> str:
+    """A private (0700) directory for the session's Unix-domain sockets,
+    removed when the driver exits: under ``TMPDIR`` if a socket's path there
+    fits ``sun_path``, else under ``/tmp``. Spark names them
+    ``<dir>/.<uuid>.sock``."""
+    d = tempfile.mkdtemp(prefix="repro-sock-")
+    if len(os.fsencode(os.path.join(d, f".{uuid.uuid4()}.sock"))) > SUN_PATH_MAX:
+        os.rmdir(d)
+        d = tempfile.mkdtemp(prefix="repro-sock-", dir="/tmp")
+    atexit.register(shutil.rmtree, d, ignore_errors=True)
+    return d
+
+
 def get_spark(app: str = "repro-job") -> SparkSession:
     """A local session. The JVM reads master and driver memory at launch,
     from ``PYSPARK_SUBMIT_ARGS``. The Python workers run through
     ``pyspark_repro_worker`` (DESIGN.md), whose directory reaches them
-    through the executor environment, also when the JVM is already up."""
+    through the executor environment, also when the JVM is already up.
+    The driver, the JVM and the workers talk over Unix-domain sockets in
+    ``socket_dir()``, not loopback TCP (DESIGN.md)."""
     worker = "pyspark_repro_worker"
     here = os.path.dirname(find_spec(worker).origin)
     os.environ.setdefault(
@@ -47,6 +70,8 @@ def get_spark(app: str = "repro-job") -> SparkSession:
         .config("spark.ui.showConsoleProgress", "false")
         .config("spark.python.worker.module", worker)
         .config("spark.executorEnv.PYTHONPATH", here)
+        .config("spark.python.unix.domain.socket.enabled", "true")
+        .config("spark.python.unix.domain.socket.dir", socket_dir())
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

@@ -216,6 +216,17 @@ def test_superstep_cap_raises(fig1, example, monkeypatch):
         final_adoptions(fig1, example, {0: 0b011}, n_worlds=1, seed=0)
 
 
+def test_superstep_cap_admits_a_cascade_of_its_depth(fig1, example, monkeypatch):
+    """The cap bounds the last superstep that changes an adoption: the
+    three-superstep cascade of {i1, i2} at v1 passes a cap of 3 and raises
+    under a cap of 2."""
+    monkeypatch.setattr(epic, "MAX_SUPERSTEPS", 3)
+    assert simulate_welfare(fig1, example, {0: 0b011}, n_worlds=1, seed=0).supersteps == 3
+    monkeypatch.setattr(epic, "MAX_SUPERSTEPS", 2)
+    with pytest.raises(RuntimeError, match="supersteps"):
+        simulate_welfare(fig1, example, {0: 0b011}, n_worlds=1, seed=0)
+
+
 def _eccentricity(seeds) -> int:
     """The largest BFS distance from ``seeds`` to a node they reach on Fig. 1."""
     seen, frontier, depth = set(seeds), set(seeds), -1

@@ -146,6 +146,48 @@ def test_pair_table_matches_bruteforce(seed):
             assert (t[d, a] & d) == t[d, a]    # subset of desire
 
 
+def scan_pair_table(util, n):
+    """The per-cell scan ``pair_table`` vectorises: start at ``a``, walk
+    ``a | s`` for ``s`` in ``submasks(d & ~a)``, and move on a 1e-12 win or
+    a 1e-12 tie with a larger (cardinality, mask)."""
+    table = np.tile(np.arange(1 << n, dtype=np.int16), (1 << n, 1))
+    for d in range(1 << n):
+        for a in submasks(d):
+            best_t, best_u, best_c = a, util[a], popcount(a)
+            for s in submasks(d & ~a):
+                t = a | s
+                u, c = util[t], popcount(t)
+                if u > best_u + 1e-12 or (abs(u - best_u) <= 1e-12 and (c, t) > (best_c, best_t)):
+                    best_t, best_u, best_c = t, u, c
+            table[d, a] = best_t
+    return table
+
+
+def test_pair_table_is_the_scan_on_real_model_worlds():
+    """Bit for bit over 400 real-model noise worlds, the first 8 of them
+    noiseless (where utilities tie exactly), batched as EPIC builds them."""
+    m = configs.real_model()
+    rng = np.random.default_rng(0)
+    noises = np.stack([m.sample_noise(rng) for _ in range(400)])
+    noises[:8] = 0.0
+    kind, tables, util = adoption_tables_for_worlds(m, noises)
+    assert kind == "pair" and tables.dtype == np.int32
+    for w in range(len(util)):
+        np.testing.assert_array_equal(tables[w], scan_pair_table(util[w], 5))
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pair_table_is_the_scan_on_tie_chains(n):
+    """Utilities on a 0.6e-12 grid make chains of 1e-12 ties, where the
+    scan's order decides the result: the tables are the scan's."""
+    rng = np.random.default_rng(n)
+    util = rng.integers(-3, 4, (200, 1 << n)) * 0.6e-12
+    util[:, 0] = 0.0
+    got = pair_table(util, n)
+    for w in range(len(util)):
+        np.testing.assert_array_equal(got[w], scan_pair_table(util[w], n))
+
+
 @pytest.mark.parametrize("cfg", [1, 3, 5])
 def test_g_and_pair_table_agree_when_supermodular(cfg):
     """For supermodular U, A_prev | g(D) equals the constrained argmax
