@@ -3,13 +3,7 @@ sampling, the Com-IC adoption frequencies and EPIC welfare (DESIGN.md).
 ``coin`` ports ``diffusion.common.coin`` to NumPy, so it flips the coins
 Spark flips; ``spark_hash`` ports Spark's ``hash``, with which EPIC puts
 its rows in the order of the Spark loop it replaced."""
-import sys
-
 import numpy as np
-from pyspark import cloudpickle
-
-# Jobs carry this module's code, so workers need not have ``repro`` on their path.
-cloudpickle.register_pickle_by_value(sys.modules[__name__])
 
 _P1, _P2, _P3, _P4, _P5 = map(np.uint64, (
     0x9E3779B185EBCA87, 0xC2B2AE3D27D4EB4F, 0x165667B19E3779F9,
@@ -23,27 +17,61 @@ def _rotl(x: np.ndarray, r: int) -> np.ndarray:
 
 
 def _xxh64(x, h: np.ndarray, kind: str) -> np.ndarray:
-    """Spark's ``XXH64.hashInt`` (``kind="int"``) or ``hashLong`` of ``x``, seeded ``h``."""
+    """Spark's ``XXH64.hashInt`` (``kind="int"``) or ``hashLong`` of ``x``,
+    seeded ``h`` (one seed, or one per value): one step of the chain with
+    which ``coin`` hashes its columns. Works in place on its own temporaries."""
     x = np.asarray(x, np.int64).view(np.uint64)
+    a, tmp = np.empty((2, *np.broadcast_shapes(x.shape, np.shape(h))), np.uint64)
+
+    def rotl(a: np.ndarray, r: int) -> None:
+        np.right_shift(a, np.uint64(64 - r), out=tmp)
+        a <<= np.uint64(r)
+        a |= tmp
+
     if kind == "int":
-        h = (h + _P5 + np.uint64(4)) ^ ((x & np.uint64(0xFFFFFFFF)) * _P1)
-        h = _rotl(h, 23) * _P2 + _P3
+        np.bitwise_and(x, np.uint64(0xFFFFFFFF), out=a)
+        a *= _P1
+        a ^= h + (_P5 + np.uint64(4))
+        r, mul, add = 23, _P2, _P3
     else:
-        h = (h + _P5 + np.uint64(8)) ^ (_rotl(x * _P2, 31) * _P1)
-        h = _rotl(h, 27) * _P1 + _P4
-    h = (h ^ (h >> np.uint64(33))) * _P2
-    h = (h ^ (h >> np.uint64(29))) * _P3
-    return h ^ (h >> np.uint64(32))
+        np.multiply(x, _P2, out=a)
+        rotl(a, 31)
+        a *= _P1
+        a ^= h + (_P5 + np.uint64(8))
+        r, mul, add = 27, _P1, _P4
+    rotl(a, r)
+    a *= mul
+    a += add
+    for shift, prime in ((33, _P2), (29, _P3)):
+        np.right_shift(a, np.uint64(shift), out=tmp)
+        a ^= tmp
+        a *= prime
+    np.right_shift(a, np.uint64(32), out=tmp)
+    a ^= tmp
+    return a
+
+
+def _seeded(seed: int) -> np.ndarray:
+    """The hash of ``seed`` from which ``coin(seed, ...)`` chains its columns."""
+    kind = "int" if -(2**31) <= seed < 2**31 else "long"
+    return _xxh64([seed], np.full(1, 42, np.uint64), kind)
+
+
+def _unit(h: np.ndarray) -> np.ndarray:
+    """A chained hash as the coin's draw in [0, 1)."""
+    return h.view(np.int64) / 2.0**64 + 0.5
 
 
 def coin(seed: int, *cols: tuple[np.ndarray, str]) -> np.ndarray:
     """``diffusion.common.coin(seed, *cols)`` over arrays of ``(values, kind)``,
     hashed as Spark hashes that type: ``"int"`` for world ids, ``"long"`` for
-    RR and node ids, and for a seed literal that does not fit in 32 bits."""
-    h = _xxh64([seed], np.full(1, 42, np.uint64), "int" if -(2**31) <= seed < 2**31 else "long")
+    RR and node ids, and for a seed literal that does not fit in 32 bits.
+    The kernels chain the hash themselves, so that a prefix of the columns
+    shared by many coins is hashed once."""
+    h = _seeded(seed)
     for x, kind in cols:
         h = _xxh64(x, h, kind)
-    return h.view(np.int64) / 2.0**64 + 0.5
+    return _unit(h)
 
 
 def _murmur3(x, h: np.ndarray, kind: str) -> np.ndarray:
@@ -79,13 +107,27 @@ def build_csr(n: int, src: np.ndarray, dst: np.ndarray, p: np.ndarray) -> tuple:
     return by(src, dst), by(dst, src)
 
 
-def _out_edges(ptr: np.ndarray, nbr: np.ndarray, frontier: np.ndarray, n: int) -> tuple:
+def csr_slots(ptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The slots ``ptr[r]:ptr[r + 1]`` of each row ``r`` of ``rows``, concatenated."""
+    size = ptr[rows + 1] - ptr[rows]
+    return np.repeat(ptr[rows] + size - np.cumsum(size), size) + np.arange(size.sum())
+
+
+def _out_edges(
+    ptr: np.ndarray, nbr: np.ndarray, frontier: np.ndarray, n: int, hk: np.ndarray, reverse: bool,
+) -> tuple:
     """Every edge out of the packed ``key * n + node`` ids in ``frontier``:
-    its key, source, target and index into ``nbr``."""
+    its key, source, target, index into ``nbr`` and coin. ``hk[key]`` is
+    the key's coin prefix, ``(edge_seed, key)`` hashed; the coin goes on
+    with ``(u, v)``, or ``(v, u)`` when the walk is ``reverse``. A forward
+    walk hashes each frontier cell's ``u`` once, for all its edges."""
     k, u = np.divmod(frontier, n)
-    deg = ptr[u + 1] - ptr[u]
-    e = np.repeat(ptr[u] + deg - np.cumsum(deg), deg) + np.arange(deg.sum())
-    return np.repeat(k, deg), np.repeat(u, deg), nbr[e], e
+    deg, e = ptr[u + 1] - ptr[u], csr_slots(ptr, u)
+    v = nbr[e]
+    h = np.repeat(hk[k] if reverse else _xxh64(u, hk[k], "long"), deg)
+    k, u = np.repeat(k, deg), np.repeat(u, deg)
+    h = _xxh64(u, _xxh64(v, h, "long"), "long") if reverse else _xxh64(v, h, "long")
+    return k, u, v, e, _unit(h)
 
 
 def reach(
@@ -105,16 +147,18 @@ def reach(
     ptr, nbr, prob = csr[1] if reverse else csr[0]
     n = len(ptr) - 1
     ukeys, kidx = np.unique(keys, return_inverse=True)
+    hk = _xxh64(ukeys, _seeded(edge_seed), key_type)
+    if accept is not None:
+        ha = _xxh64(ukeys, _seeded(accept[0]), key_type)
     frontier = visited = np.unique(kidx * n + starts)
     kept = [visited[:0]]
     while len(frontier):
         if accept is not None:
             k, u = np.divmod(frontier, n)
-            frontier = frontier[coin(accept[0], (ukeys[k], key_type), (u, "long")) < accept[1][u]]
+            frontier = frontier[_unit(_xxh64(u, ha[k], "long")) < accept[1][u]]
         kept.append(frontier)
-        k, u, v, e = _out_edges(ptr, nbr, frontier, n)
-        src, dst = (v, u) if reverse else (u, v)
-        live = coin(edge_seed, (ukeys[k], key_type), (src, "long"), (dst, "long")) < prob[e]
+        k, u, v, e, c = _out_edges(ptr, nbr, frontier, n, hk, reverse)
+        live = c < prob[e]
         reached = np.unique(k[live] * n + v[live])
         frontier = reached[np.isin(reached, visited, assume_unique=True, invert=True)]
         visited = np.union1d(visited, frontier)
@@ -141,6 +185,7 @@ def cascade(
     n = len(ptr) - 1
     uscen, local = np.unique(scen, return_inverse=True)
     world = uscen % n_worlds
+    hk = _xxh64(world, _seeded(edge_seed), "int")
     desire, adopt = np.zeros((2, len(uscen) * n), np.int64)
     touched = np.full(len(desire), -1, np.int32)
 
@@ -156,8 +201,8 @@ def cascade(
     frontier, step = update(ids, 0), 0
     while len(frontier) and step < cap:
         step += 1
-        k, u, v, e = _out_edges(ptr, nbr, frontier, n)
-        live = coin(edge_seed, (world[k], "int"), (u, "long"), (v, "long")) < prob[e]
+        k, u, v, e, c = _out_edges(ptr, nbr, frontier, n, hk, reverse=False)
+        live = c < prob[e]
         to = k[live] * n + v[live]
         np.bitwise_or.at(desire, to, adopt[k[live] * n + u[live]])
         frontier = update(np.unique(to), step)

@@ -60,6 +60,13 @@ class SocialGraph:
         return self.spark.sparkContext.broadcast(build_csr(self.n, self.src, self.dst, self.p))
 
 
+def _unique_pairs(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``(src, dst)`` pairs of nodes in [0, n), in
+    ``np.unique(axis=0)``'s order: the unique packed keys ``src * n + dst``,
+    which sort by ``src`` then ``dst``, unpacked."""
+    return np.divmod(np.unique(src * n + dst), n)
+
+
 def from_edge_pairs(
     spark: SparkSession,
     pairs: np.ndarray,
@@ -80,7 +87,7 @@ def from_edge_pairs(
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if not directed:
         pairs = np.concatenate([pairs, pairs[:, ::-1]])
-    src, dst = np.ascontiguousarray(np.unique(pairs, axis=0).T)
+    src, dst = _unique_pairs(pairs[:, 0], pairs[:, 1], n)
     p = 1.0 / np.bincount(dst, minlength=n)[dst]
     return SocialGraph(name, n, directed, src, dst, p, spark)
 
@@ -113,7 +120,7 @@ def power_law_graph(
     perm_dst = rng.permutation(n)
     src = perm_src[rng.choice(n, size=n_draw, p=w)]
     dst = perm_dst[rng.choice(n, size=n_draw, p=w)]
-    pairs = np.unique(np.column_stack([src, dst]), axis=0)
+    pairs = np.column_stack(_unique_pairs(src, dst, n))
     pairs = pairs[pairs[:, 0] != pairs[:, 1]]
     if len(pairs) > m_target:
         keep = rng.choice(len(pairs), size=m_target, replace=False)
@@ -127,7 +134,8 @@ def er_graph(
     """Small Erdős–Rényi-style directed graph (tests)."""
     rng = np.random.default_rng(seed)
     pairs = rng.integers(0, n, size=(int(m_target * 1.3), 2))
-    pairs = np.unique(pairs[pairs[:, 0] != pairs[:, 1]], axis=0)[:m_target]
+    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
+    pairs = np.column_stack(_unique_pairs(pairs[:, 0], pairs[:, 1], n))[:m_target]
     return from_edge_pairs(spark, pairs, name=name, n=n, directed=True)
 
 

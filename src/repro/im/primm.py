@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.graphs.generator import SocialGraph
-from repro.im.rrsets import RRCollection, sample_rr_sets
+from repro.im.rrsets import RRCollection, RRSets, sample_rr_sets
 
 BATCH_CAP = 200_000  # RR sets per sampling batch (one root stream) at most
 # RR sets per sampling call at most, unless its first batch alone is more. A
@@ -92,7 +92,7 @@ def primm(
     ell_p = ell2 + math.log(len(b)) / math.log(n)   # line 3: log_n(n^ℓ·|b|)
     eps_p = math.sqrt(2) * EPS                      # line 4
     max_i = int(math.log2(n)) - 1
-    pending: dict[int, list[np.ndarray]] = {}       # sampled ahead: offset -> its batch
+    pending: dict[int, RRSets] = {}                 # sampled ahead: offset -> its batch
     sampled = calls = 0
 
     def failing_path(k: int, i: int) -> list[float]:

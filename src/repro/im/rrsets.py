@@ -7,7 +7,8 @@ with a deterministic coin per ``(rr_id, src, dst)``. Each RR set may
 retain nodes with a per-node probability (``node_prob``), which is how the
 Com-IC baselines reweight RR sets by GAP adoption probabilities.
 
-``RRCollection`` accumulates generated sets on the driver and runs IMM's
+RR sets stay flat (``RRSets``, one CSR pair) from the engine's output to
+``RRCollection``, which accumulates them on the driver and runs IMM's
 ``NodeSelection`` (lazy-free plain greedy max-cover with an inverted
 index) — sequential by nature, tiny at our scale, as in the reference
 IMM implementation.
@@ -16,8 +17,35 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.diffusion.reach import reach_spark
+from repro.diffusion.reach import csr_slots, reach_spark
 from repro.graphs.generator import SocialGraph
+
+
+class RRSets:
+    """RR sets as one CSR pair: set ``i`` is ``nodes[ptr[i]:ptr[i + 1]]``.
+
+    Behaves as a sequence of per-set arrays: ``len``, integer indexing,
+    step-1 slices (views that share ``nodes``) and iteration.
+    """
+
+    def __init__(self, nodes: np.ndarray, ptr: np.ndarray) -> None:
+        self.nodes, self.ptr = nodes, ptr
+
+    def __len__(self) -> int:
+        return len(self.ptr) - 1
+
+    def __getitem__(self, i: int | slice) -> np.ndarray | RRSets:
+        if isinstance(i, slice):
+            start, stop, step = i.indices(len(self))
+            if step != 1:
+                raise ValueError("RR sets slice with step 1 only")
+            return RRSets(self.nodes, self.ptr[start:max(start, stop) + 1])
+        i = range(len(self))[i]
+        return self.nodes[self.ptr[i]:self.ptr[i + 1]]
+
+    def __iter__(self):
+        ptr = self.ptr.tolist()
+        return (self.nodes[a:b] for a, b in zip(ptr[:-1], ptr[1:]))
 
 
 def sample_rr_sets(
@@ -27,7 +55,7 @@ def sample_rr_sets(
     seed: int,
     id_offset: int = 0,
     node_probs: np.ndarray | None = None,
-) -> list[np.ndarray]:
+) -> RRSets:
     """Generate ``n_rr`` RR sets in one Spark job.
 
     Roots are uniform over V. An edge (u, v) is traversed (reverse
@@ -37,28 +65,29 @@ def sample_rr_sets(
     ``node_probs[u]`` — rejected nodes do not extend the BFS (used by the
     Com-IC baselines; plain IC keeps every node).
 
-    Returns one numpy array of node ids per RR set, for RR ids
-    ``id_offset, id_offset + 1, …``; ``id_offset`` shifts the coin keys so
-    successive batches are independent. The roots of a batch at offset
-    ``o`` are the first draws of ``default_rng((seed, o))``, so a batch is
-    the prefix of any larger batch at the same offset. A list ``n_rr`` of
-    consecutive batch sizes draws each batch from its own offset's stream,
-    all in one job: ``sample_rr_sets(g, [a, b], id_offset=o)`` equals
-    ``sample_rr_sets(g, a, id_offset=o) + sample_rr_sets(g, b, id_offset=o + a)``.
+    Returns the RR sets, each sorted, for RR ids ``id_offset, id_offset +
+    1, …``; ``id_offset`` shifts the coin keys so successive batches are
+    independent. The roots of a batch at offset ``o`` are the first draws
+    of ``default_rng((seed, o))``, so a batch is the prefix of any larger
+    batch at the same offset. A list ``n_rr`` of consecutive batch sizes
+    draws each batch from its own offset's stream, all in one job:
+    ``sample_rr_sets(g, [a, b], id_offset=o)`` holds the sets of
+    ``sample_rr_sets(g, a, id_offset=o)`` then ``sample_rr_sets(g, b,
+    id_offset=o + a)``.
     """
     sizes = [n_rr] if np.ndim(n_rr) == 0 else list(n_rr)
     if not sum(sizes):
-        return []
+        return RRSets(np.zeros(0, np.int64), np.zeros(1, np.int64))
     offsets = id_offset + np.cumsum([0] + sizes[:-1])
     roots = np.concatenate([
         np.random.default_rng((seed, int(o))).integers(0, graph.n, size=t)
         for o, t in zip(offsets, sizes)
     ])
-    ids = np.arange(len(roots), dtype=np.int64) + id_offset
+    ids = np.arange(len(roots) + 1, dtype=np.int64) + id_offset
     accept = None if node_probs is None else (seed + 7, node_probs)
-    keys, nodes = reach_spark(graph, ids, roots, edge_seed=seed, key_type="long",
+    keys, nodes = reach_spark(graph, ids[:-1], roots, edge_seed=seed, key_type="long",
                               reverse=True, accept=accept)
-    return np.split(nodes, np.searchsorted(keys, ids[1:]))
+    return RRSets(nodes, np.searchsorted(keys, ids))
 
 
 class RRCollection:
@@ -66,18 +95,22 @@ class RRCollection:
 
     def __init__(self, n_nodes: int) -> None:
         self.n = n_nodes
-        self.sets: list[np.ndarray] = []
+        self.sets = RRSets(np.zeros(0, np.int64), np.zeros(1, np.int64))
 
     def __len__(self) -> int:
         return len(self.sets)
 
-    def extend(self, new_sets: list[np.ndarray]) -> None:
-        self.sets.extend(new_sets)
-
-    def _flat(self) -> tuple[np.ndarray, np.ndarray]:
-        """The sets concatenated: each member node and its RR set's index."""
-        lengths = [len(s) for s in self.sets]
-        return np.concatenate(self.sets), np.repeat(np.arange(len(self.sets)), lengths)
+    def extend(self, new_sets: RRSets | list[np.ndarray]) -> None:
+        """Append RR sets, flat or as a list of arrays of distinct nodes."""
+        if isinstance(new_sets, RRSets):
+            members = new_sets.nodes[new_sets.ptr[0]:new_sets.ptr[-1]]
+            sizes = np.diff(new_sets.ptr)
+        else:
+            members = np.concatenate([np.zeros(0, np.int64), *new_sets])
+            sizes = [len(s) for s in new_sets]
+        ptr = self.sets.ptr
+        self.sets = RRSets(np.concatenate([self.sets.nodes, members]),
+                           np.concatenate([ptr, ptr[-1] + np.cumsum(sizes, dtype=np.int64)]))
 
     def node_selection(self, k: int) -> tuple[list[int], np.ndarray]:
         """IMM's NodeSelection: greedy max ``k``-cover over the RR sets.
@@ -86,16 +119,13 @@ class RRCollection:
         cumulative covered *fraction* after each prefix, so
         ``F_R(S_j) = coverage[j-1]`` — exactly what PRIMM's check needs.
         """
-        n_rr = len(self.sets)
+        n_rr, nodes, ptr = len(self.sets), self.sets.nodes, self.sets.ptr
         if n_rr == 0:
             return [], np.zeros(0)
-        flat_nodes, flat_rrs = self._flat()
-        counts = np.bincount(flat_nodes, minlength=self.n).astype(np.int64)
-        # inverted index node -> rr ids (CSR)
-        order = np.argsort(flat_nodes, kind="stable")
-        sorted_nodes = flat_nodes[order]
-        sorted_rrs = flat_rrs[order]
-        starts = np.searchsorted(sorted_nodes, np.arange(self.n + 1))
+        counts = np.bincount(nodes, minlength=self.n)
+        # inverted index: node v lies in the sets holder[at[v]:at[v + 1]], in any order
+        holder = np.repeat(np.arange(n_rr), np.diff(ptr))[np.argsort(nodes)]
+        at = np.r_[0, np.cumsum(counts)]
         covered = np.zeros(n_rr, dtype=bool)
         seeds: list[int] = []
         coverage: list[float] = []
@@ -103,12 +133,12 @@ class RRCollection:
         for _ in range(min(k, self.n)):
             v = int(counts.argmax())
             seeds.append(v)
-            for rr in sorted_rrs[starts[v]:starts[v + 1]]:
-                if not covered[rr]:
-                    covered[rr] = True
-                    n_cov += 1
-                    s = self.sets[rr]
-                    counts[s] -= 1
+            new = holder[at[v]:at[v + 1]]
+            new = new[~covered[new]]
+            covered[new] = True
+            n_cov += len(new)
+            # every member of a newly covered set loses that set
+            np.subtract.at(counts, nodes[csr_slots(ptr, new)], 1)
             counts[v] = -1  # never picked twice, even once every set is covered
             coverage.append(n_cov / n_rr)
         return seeds, np.asarray(coverage)
@@ -119,7 +149,7 @@ class RRCollection:
             return 0.0
         seed_set = np.zeros(self.n, dtype=bool)
         seed_set[np.asarray(seeds, dtype=np.int64)] = True
-        nodes, rrs = self._flat()
         hit = np.zeros(len(self.sets), dtype=bool)
-        hit[rrs[seed_set[nodes]]] = True
+        at = np.flatnonzero(seed_set[self.sets.nodes])  # where seeds sit in the sets
+        hit[np.searchsorted(self.sets.ptr, at, "right") - 1] = True
         return np.count_nonzero(hit) / len(self.sets)

@@ -1,4 +1,6 @@
 """Tests for the graph substrate, oracle-checked against DuckDB."""
+import hashlib
+
 import numpy as np
 import pytest
 from pyspark.sql import functions as F
@@ -6,9 +8,12 @@ from pyspark.sql import functions as F
 from repro.diffusion.ic import spread_mc
 from repro.graphs.generator import (
     FIG1_EDGES,
+    NETWORK_SPECS,
+    _unique_pairs,
     er_graph,
     fig1_graph,
     from_edge_pairs,
+    load_network,
     power_law_graph,
 )
 from repro.graphs.stats import network_stats
@@ -110,3 +115,37 @@ def test_network_stats_fields(spark):
     assert s["nodes"] == 50
     assert s["type"] == "directed"
     assert s["avg_degree"] == pytest.approx(s["edges"] / 50, abs=0.1)
+
+
+@pytest.mark.parametrize("directed", [True, False])
+def test_packed_unique_is_axis0_unique(directed):
+    """Unique packed ``src * n + dst`` keys give ``np.unique(axis=0)``'s
+    pairs in its order, duplicates, self-loops and both directions included."""
+    rng = np.random.default_rng(5)
+    for n in (1, 7, 300):
+        pairs = rng.integers(0, n, size=(4000, 2))
+        if not directed:
+            pairs = np.concatenate([pairs, pairs[:, ::-1]])
+        want = np.unique(pairs, axis=0)
+        got = np.column_stack(_unique_pairs(pairs[:, 0], pairs[:, 1], n))
+        assert np.array_equal(got, want)
+
+
+# SHA-256 (first 16 hex digits) of the stand-in networks' src, dst and p,
+# each array's dtype string then its bytes, recorded when the builds took
+# the unique of the (src, dst) rows with np.unique(axis=0).
+NETWORK_DIGESTS = {
+    "flixster-lite": "dcd4c8e95b37f795",
+    "douban-book-lite": "ba6465214214d8a3",
+    "douban-movie-lite": "443502751d02a4a9",
+    "twitter-lite": "fe391e1cc4791525",
+}
+
+
+@pytest.mark.parametrize("name", NETWORK_SPECS)
+def test_stand_in_networks_keep_their_edges(spark, name):
+    g = load_network(spark, name)
+    h = hashlib.sha256()
+    for a in (g.src, g.dst, g.p):
+        h.update(a.dtype.str.encode() + a.tobytes())
+    assert h.hexdigest()[:16] == NETWORK_DIGESTS[name]

@@ -3,10 +3,12 @@ Spark's, its output against the Spark loops it replaced, the kernel alone
 against plain reachability, and its check of node ids."""
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pandas as pd
 import pytest
+from pyspark import cloudpickle
 from pyspark.sql import functions as F
 
 from repro.alloc.comic_baselines import adoption_frequency
@@ -39,6 +41,28 @@ def test_numpy_coin_matches_spark(spark, seed):
     np.testing.assert_array_equal(mine, got["c"].to_numpy())
 
 
+@pytest.mark.parametrize("seed", [7, 2**31 + 5])
+@pytest.mark.parametrize("key_type", ["int", "long"])
+def test_hoisted_coin_is_coin(seed, key_type):
+    """The kernels hash ``(seed, key)`` once per key and, walking forwards,
+    the source once per frontier cell; every edge still flips
+    ``coin(seed, key, src, dst)``, also walking backwards."""
+    rng = np.random.default_rng(3)
+    n, m = 40, 500
+    csr = reach.build_csr(n, *rng.integers(0, n, (2, m)), np.ones(m))
+    top = 2**31 if key_type == "int" else 2**63
+    ukeys = rng.integers(-top, top, 25)
+    hk = reach._xxh64(ukeys, reach._seeded(seed), key_type)
+    frontier = np.unique(rng.integers(0, len(ukeys) * n, 300))
+    for reverse in (False, True):
+        ptr, nbr, _ = csr[reverse]
+        k, u, v, _, c = reach._out_edges(ptr, nbr, frontier, n, hk, reverse)
+        src, dst = (v, u) if reverse else (u, v)
+        assert len(c) > m / 2
+        np.testing.assert_array_equal(
+            c, reach.coin(seed, (ukeys[k], key_type), (src, "long"), (dst, "long")))
+
+
 def test_numpy_hash_matches_spark(spark):
     """Same value as Spark's ``hash`` (its hash partitioning key) on
     (int, int, long) keys over the full value ranges."""
@@ -56,6 +80,14 @@ def test_numpy_hash_matches_spark(spark):
     )
     mine = reach.spark_hash((got["alloc"], "int"), (got["world"], "int"), (got["node"], "long"))
     np.testing.assert_array_equal(mine, got["h"].to_numpy())
+
+
+def test_kernels_pickle_by_reference():
+    """A job names its kernel: workers import ``repro`` from the executors'
+    ``PYTHONPATH``, so cloudpickle ships the kernels as plain pickle does,
+    without their code objects."""
+    for kernel in (reach.reach, reach.cascade):
+        assert cloudpickle.dumps(kernel) == pickle.dumps(kernel, cloudpickle.DEFAULT_PROTOCOL)
 
 
 def _digest(obj) -> str:

@@ -9,7 +9,7 @@ from repro.diffusion.ic import spread_mc
 from repro.graphs.generator import fig1_graph, power_law_graph
 from repro.im.imm import imm
 from repro.im.primm import lambda_prime, lambda_star, log_binom, primm
-from repro.im.rrsets import RRCollection, sample_rr_sets
+from repro.im.rrsets import RRCollection, RRSets, sample_rr_sets
 
 
 @pytest.fixture(scope="module")
@@ -59,8 +59,8 @@ def test_rr_batch_list_is_consecutive_scalar_calls(graph):
 
 def test_rr_sample_of_nothing_is_empty(graph):
     """No batch, or one batch of no sets, gives no RR sets."""
-    assert sample_rr_sets(graph, 0, seed=5) == []
-    assert sample_rr_sets(graph, [], seed=5) == []
+    assert len(sample_rr_sets(graph, 0, seed=5)) == 0
+    assert len(sample_rr_sets(graph, [], seed=5)) == 0
 
 
 def test_rr_batch_is_prefix_of_larger_batch(graph):
@@ -79,7 +79,87 @@ def test_node_prob_filter_shrinks_sets(graph):
     assert sum(map(len, filtered)) < sum(map(len, full))
 
 
+def test_flat_rr_sets_are_the_split_arrays():
+    """``RRSets`` reads as the list ``np.split`` would cut from the same
+    arrays: length, indexing, slices (views, empty and full included),
+    slices of slices and iteration."""
+    rng = np.random.default_rng(2)
+    sizes = rng.integers(0, 4, 30)
+    sizes[[0, 7, 29]] = 0
+    nodes = rng.integers(0, 50, sizes.sum())
+    ptr = np.r_[0, np.cumsum(sizes)]
+    sets, split = RRSets(nodes, ptr), np.split(nodes, ptr[1:-1])
+
+    def same(a, b):
+        return len(a) == len(b) and all(np.array_equal(x, y) for x, y in zip(a, b))
+
+    assert same(list(sets), split)
+    for i in (0, 5, 29, -1, -30):
+        assert np.array_equal(sets[i], split[i])
+    with pytest.raises(IndexError):
+        sets[30]
+    for sl in (slice(None), slice(3, 11), slice(5, 5), slice(9, 2), slice(20, 100), slice(-4, None)):
+        view = sets[sl]
+        assert view.nodes is nodes
+        assert same(list(view), split[sl])
+        assert same(list(view[1:3]), split[sl][1:3])
+    assert len(RRSets(nodes[:0], ptr[:1])) == 0
+
+
 # ---- NodeSelection -----------------------------------------------------
+
+
+def per_set_node_selection(sets: list[np.ndarray], n: int, k: int) -> tuple[list[int], np.ndarray]:
+    """NodeSelection as one loop over the covered sets, each set an array
+    of distinct nodes: the oracle of the vectorised ``node_selection``."""
+    if not sets:
+        return [], np.zeros(0)
+    flat_nodes = np.concatenate(sets)
+    flat_rrs = np.repeat(np.arange(len(sets)), [len(s) for s in sets])
+    counts = np.bincount(flat_nodes, minlength=n).astype(np.int64)
+    order = np.argsort(flat_nodes, kind="stable")
+    sorted_rrs = flat_rrs[order]
+    starts = np.searchsorted(flat_nodes[order], np.arange(n + 1))
+    covered = np.zeros(len(sets), dtype=bool)
+    seeds, coverage, n_cov = [], [], 0
+    for _ in range(min(k, n)):
+        v = int(counts.argmax())
+        seeds.append(v)
+        for rr in sorted_rrs[starts[v]:starts[v + 1]]:
+            if not covered[rr]:
+                covered[rr] = True
+                n_cov += 1
+                counts[sets[rr]] -= 1
+        counts[v] = -1
+        coverage.append(n_cov / len(sets))
+    return seeds, np.asarray(coverage)
+
+
+@pytest.mark.parametrize("n,n_sets,max_size,k", [
+    (6, 40, 2, 4),        # many ties in every count
+    (6, 40, 2, 9),        # k >= n: picks past full coverage, then every node
+    (30, 500, 0, 5),      # empty sets only
+    (30, 700, 4, 30),     # empty sets among others; the rest covered before the last pick
+    (400, 3000, 12, 60),
+])
+def test_node_selection_is_the_per_set_loop(n, n_sets, max_size, k):
+    """Seeds and coverage (bit for bit) equal the per-set loop's, with the
+    sets added over several ``extend`` calls, flat and as lists."""
+    rng = np.random.default_rng(n * n_sets + k)
+    sets = [rng.choice(n, size=rng.integers(0, max_size + 1), replace=False)
+            for _ in range(n_sets)]
+    rr = RRCollection(n)
+    third = n_sets // 3
+    rr.extend(sets[:third])
+    rest = sets[third:]
+    flat = RRSets(np.concatenate([np.zeros(0, np.int64), *rest]),
+                  np.r_[0, np.cumsum([len(s) for s in rest])])
+    rr.extend(flat[:third])
+    rr.extend(flat[third:])
+    seeds, cov = rr.node_selection(k)
+    want_seeds, want_cov = per_set_node_selection(sets, n, k)
+    assert seeds == want_seeds
+    assert [c.hex() for c in cov] == [c.hex() for c in want_cov]
 
 
 def test_node_selection_greedy_cover():
