@@ -13,6 +13,7 @@ from importlib.util import find_spec
 from pyspark.sql import SparkSession
 
 SUN_PATH_MAX = 107  # bytes in a Linux AF_UNIX socket path, without its NUL
+SOCKET_DIR_MAX = 61  # characters Spark allows in spark.python.unix.domain.socket.dir
 
 
 def driver_memory() -> tuple[str, str]:
@@ -36,11 +37,12 @@ def driver_memory() -> tuple[str, str]:
 @functools.cache
 def socket_dir() -> str:
     """A private (0700) directory for the session's Unix-domain sockets,
-    removed when the driver exits: under ``TMPDIR`` if a socket's path there
-    fits ``sun_path``, else under ``/tmp``. Spark names them
-    ``<dir>/.<uuid>.sock``."""
+    removed when the driver exits: under ``TMPDIR`` if the directory is
+    within Spark's length limit and a socket's path there fits ``sun_path``,
+    else under ``/tmp``. Spark names them ``<dir>/.<uuid>.sock``."""
     d = tempfile.mkdtemp(prefix="repro-sock-")
-    if len(os.fsencode(os.path.join(d, f".{uuid.uuid4()}.sock"))) > SUN_PATH_MAX:
+    sock = os.path.join(d, f".{uuid.uuid4()}.sock")
+    if len(d) > SOCKET_DIR_MAX or len(os.fsencode(sock)) > SUN_PATH_MAX:
         os.rmdir(d)
         d = tempfile.mkdtemp(prefix="repro-sock-", dir="/tmp")
     atexit.register(shutil.rmtree, d, ignore_errors=True)
@@ -53,7 +55,9 @@ def get_spark(app: str = "repro-job") -> SparkSession:
     ``pyspark_repro_worker`` (DESIGN.md), whose directory reaches them
     through the executor environment, also when the JVM is already up.
     The driver, the JVM and the workers talk over Unix-domain sockets in
-    ``socket_dir()``, not loopback TCP (DESIGN.md)."""
+    ``socket_dir()``, not loopback TCP (DESIGN.md). The driver JVM compiles
+    with C1 only (DESIGN.md, "Driver JVM"); like every JVM option, this
+    takes effect only when this call launches the JVM."""
     worker = "pyspark_repro_worker"
     here = os.path.dirname(find_spec(worker).origin)
     os.environ.setdefault(
@@ -72,6 +76,7 @@ def get_spark(app: str = "repro-job") -> SparkSession:
         .config("spark.executorEnv.PYTHONPATH", here)
         .config("spark.python.unix.domain.socket.enabled", "true")
         .config("spark.python.unix.domain.socket.dir", socket_dir())
+        .config("spark.driver.defaultJavaOptions", "-XX:TieredStopAtLevel=1")
         .getOrCreate()
     )
     s.sparkContext.setLogLevel("ERROR")

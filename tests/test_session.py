@@ -1,17 +1,21 @@
 """The session ``get_spark`` builds serves its Python workers through
 ``pyspark_repro_worker``, whose ``importlib.invalidate_caches`` skips the
 workers' zipimporters but still invalidates every other finder, and talks
-to them over Unix-domain sockets in a private directory."""
+to them over Unix-domain sockets in a private directory; its driver JVM
+compiles with C1 only."""
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 import uuid
 from pathlib import Path
 
 from pyspark import SparkFiles
 
 import repro
+from repro.experiments.session import SOCKET_DIR_MAX, socket_dir
 
 
 def _on_every_task(spark, fn) -> list:
@@ -63,6 +67,11 @@ def test_py_file_added_to_warm_workers_imports(spark, tmp_path):
     assert {p for p, _ in got} & {p for p, *_ in warm}, "no task ran in a warm worker"
 
 
+def test_driver_jvm_compiles_with_c1_only(spark):
+    bean = spark.sparkContext._jvm.java.lang.management.ManagementFactory.getRuntimeMXBean()
+    assert "-XX:TieredStopAtLevel=1" in list(bean.getInputArguments())
+
+
 def test_workers_talk_over_unix_domain_sockets(spark):
     def mode():
         return os.environ.get("PYTHON_UNIX_DOMAIN_ENABLED", "").lower()
@@ -70,18 +79,12 @@ def test_workers_talk_over_unix_domain_sockets(spark):
     assert _on_every_task(spark, mode) == ["true"] * spark.sparkContext.defaultParallelism
 
 
-def test_long_temp_paths_start_and_leave_no_sockets(tmp_path):
-    """Sockets under a 120-character ``TMPDIR`` or ``java.io.tmpdir`` would
-    overflow ``sun_path``: a fresh driver still starts, collects an RDD and
-    round-trips a pandas frame through Arrow, and once it exits no socket
-    file or socket directory is left."""
-    deep = tmp_path / ("d" * max(1, 120 - len(str(tmp_path))))
-    tmp, jtmp, conf = deep / "tmp", deep / "java-tmp", tmp_path / "conf"
-    for d in (tmp, jtmp, conf):
-        d.mkdir(parents=True)
-    assert min(len(str(tmp)), len(str(jtmp))) >= 120
-    (conf / "spark-defaults.conf").write_text(
-        f"spark.driver.extraJavaOptions -Djava.io.tmpdir={jtmp}\n")
+def _fresh_driver(tmp: Path, conf: Path) -> tuple[str, list[str]]:
+    """Start a driver under ``TMPDIR=tmp`` and ``SPARK_CONF_DIR=conf`` in a
+    child process, collect an RDD and round-trip a pandas frame through
+    Arrow; check both results and that the socket directory is gone once
+    the child exits, and return that directory and the JVM's input
+    arguments."""
     env = {k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"}
     env.update(TMPDIR=str(tmp), SPARK_CONF_DIR=str(conf), SPARK_DRIVER_MEM="1g",
                SPARK_MASTER="local[2]", PYTHONPATH=os.pathsep.join(
@@ -92,12 +95,73 @@ def test_long_temp_paths_start_and_leave_no_sockets(tmp_path):
         "s = get_spark('long-paths')\n"
         "rdd = s.sparkContext.parallelize(range(6), 2).map(lambda x: x * x).collect()\n"
         "df = s.createDataFrame(pd.DataFrame({'x': [3, 1, 2]})).toPandas()['x'].tolist()\n"
-        "print(json.dumps([socket_dir(), rdd, df]))\n"
+        "jvm = s.sparkContext._jvm.java.lang.management.ManagementFactory\n"
+        "args = list(jvm.getRuntimeMXBean().getInputArguments())\n"
+        "print(json.dumps([socket_dir(), rdd, df, args]))\n"
     )
     child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                            text=True, timeout=300)
     assert child.returncode == 0, child.stderr[-3000:]
-    where, rdd, df = json.loads(child.stdout.splitlines()[-1])
+    where, rdd, df, args = json.loads(child.stdout.splitlines()[-1])
     assert rdd == [0, 1, 4, 9, 16, 25] and df == [3, 1, 2]
     assert not os.path.exists(where)
+    return where, args
+
+
+def test_long_temp_paths_start_and_leave_no_sockets(tmp_path):
+    """Sockets under a 120-character ``TMPDIR`` or ``java.io.tmpdir`` would
+    overflow ``sun_path``: a fresh driver still starts, collects an RDD and
+    round-trips a pandas frame through Arrow, and once it exits no socket
+    file or socket directory is left. Its JVM holds both the C1 flag that
+    ``get_spark`` sets and the ``extraJavaOptions`` of ``spark-defaults.conf``."""
+    deep = tmp_path / ("d" * max(1, 120 - len(str(tmp_path))))
+    tmp, jtmp, conf = deep / "tmp", deep / "java-tmp", tmp_path / "conf"
+    for d in (tmp, jtmp, conf):
+        d.mkdir(parents=True)
+    assert min(len(str(tmp)), len(str(jtmp))) >= 120
+    (conf / "spark-defaults.conf").write_text(
+        f"spark.driver.extraJavaOptions -Djava.io.tmpdir={jtmp}\n")
+    _, args = _fresh_driver(tmp, conf)
+    assert {"-XX:TieredStopAtLevel=1", f"-Djava.io.tmpdir={jtmp}"} <= set(args)
     assert not [p for p in deep.rglob("*") if p.is_socket() or p.suffix == ".sock"]
+
+
+def _tmpdir_for_socket_dir(base: Path, n: int) -> Path:
+    """A directory under ``base`` in which ``mkdtemp(prefix="repro-sock-")``
+    makes an ``n``-character path (the prefix and 8 random characters)."""
+    d = base / ("d" * (n - len("/repro-sock-") - 8 - len(str(base)) - 1))
+    d.mkdir()
+    return d
+
+
+def test_socket_dir_stays_within_sparks_length_limit(monkeypatch):
+    """Spark rejects a ``spark.python.unix.domain.socket.dir`` over 61
+    characters, although a socket path there still fits ``sun_path``: a
+    ``TMPDIR`` whose socket directory would be longer falls back to
+    ``/tmp``, and a shorter one is kept."""
+    base = Path(tempfile.mkdtemp(dir="/tmp"))
+    try:
+        for n in range(55, 71):
+            tmp = _tmpdir_for_socket_dir(base, n)
+            monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+            got = socket_dir.__wrapped__()
+            shutil.rmtree(got)
+            assert len(got) <= SOCKET_DIR_MAX, (n, got)
+            assert Path(got).parent == (tmp if n <= SOCKET_DIR_MAX else Path("/tmp")), (n, got)
+    finally:
+        shutil.rmtree(base)
+
+
+def test_driver_starts_where_the_socket_dir_would_be_63_characters(tmp_path):
+    """A ``TMPDIR`` where the socket directory would be 63 characters, which
+    fits ``sun_path`` but not Spark's limit: a fresh driver starts and
+    collects, from a socket directory Spark accepts."""
+    base = Path(tempfile.mkdtemp(dir="/tmp"))
+    try:
+        tmp = _tmpdir_for_socket_dir(base, 63)
+        conf = tmp_path / "conf"
+        conf.mkdir()
+        where, _ = _fresh_driver(tmp, conf)
+        assert len(where) <= SOCKET_DIR_MAX
+    finally:
+        shutil.rmtree(base)
