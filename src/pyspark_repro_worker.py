@@ -12,6 +12,12 @@ before: a ``.py`` shipped with ``addPyFile`` still imports.
 ``pyspark.daemon`` imports a worker module only if its name starts with
 ``pyspark``, once, when it starts, so this file lives outside the ``repro``
 package and imports nothing from it.
+
+Its ``main`` is ``pyspark.worker.main``, except when a reused worker finds
+its socket closed before a task, as ``spark.stop()`` leaves every idle
+worker: ``pyspark.worker.main`` would then write an error report that the
+daemon's flush to the closed socket fails on, printing a ``BrokenPipeError``
+traceback to the job's stderr.
 """
 import importlib
 import sys
@@ -34,9 +40,18 @@ def invalidate_caches() -> None:
 
 importlib.invalidate_caches = invalidate_caches
 
+
+def main(infile, outfile) -> None:
+    """What ``pyspark.daemon`` calls for each task: ``pyspark.worker.main``,
+    or, with no task left to read, a non-zero exit that writes nothing."""
+    if not infile.peek(1):
+        sys.exit(-1)
+    _task_main(infile, outfile)
+
+
 if __name__ == "__main__":  # started without the daemon: spark.python.use.daemon=false, Windows
     import runpy
 
     runpy.run_module("pyspark.worker", run_name="__main__")
 else:
-    from pyspark.worker import main  # noqa: F401  (what pyspark.daemon calls)
+    from pyspark.worker import main as _task_main

@@ -1,8 +1,12 @@
 """Partition-local diffusion, the engine behind IC spread, RR-set
 sampling, the Com-IC adoption frequencies and EPIC welfare (DESIGN.md).
-``coin`` ports ``diffusion.common.coin`` to NumPy, so it flips the coins
-Spark flips; ``spark_hash`` ports Spark's ``hash``, with which EPIC puts
-its rows in the order of the Spark loop it replaced."""
+
+Every coin is Spark's ``xxhash64(seed, *key)`` scaled to [0, 1), written
+``coin(seed, *key)`` below. ``_seeded``, ``_xxh64`` and ``_unit`` port it
+to NumPy one key column at a time, so that the kernels hash a prefix
+shared by many coins once; the tests check the chain against Spark's.
+``spark_hash`` ports Spark's ``hash``, with which EPIC puts its rows in
+the order of the Spark loop it replaced."""
 import numpy as np
 
 _P1, _P2, _P3, _P4, _P5 = map(np.uint64, (
@@ -18,8 +22,8 @@ def _rotl(x: np.ndarray, r: int) -> np.ndarray:
 
 def _xxh64(x, h: np.ndarray, kind: str) -> np.ndarray:
     """Spark's ``XXH64.hashInt`` (``kind="int"``) or ``hashLong`` of ``x``,
-    seeded ``h`` (one seed, or one per value): one step of the chain with
-    which ``coin`` hashes its columns. Works in place on its own temporaries."""
+    seeded ``h`` (one seed, or one per value): one step of the coin's chain.
+    Works in place on its own temporaries."""
     x = np.asarray(x, np.int64).view(np.uint64)
     a, tmp = np.empty((2, *np.broadcast_shapes(x.shape, np.shape(h))), np.uint64)
 
@@ -52,7 +56,7 @@ def _xxh64(x, h: np.ndarray, kind: str) -> np.ndarray:
 
 
 def _seeded(seed: int) -> np.ndarray:
-    """The hash of ``seed`` from which ``coin(seed, ...)`` chains its columns."""
+    """The hash of ``seed`` from which ``coin(seed, ...)`` chains its key."""
     kind = "int" if -(2**31) <= seed < 2**31 else "long"
     return _xxh64([seed], np.full(1, 42, np.uint64), kind)
 
@@ -60,18 +64,6 @@ def _seeded(seed: int) -> np.ndarray:
 def _unit(h: np.ndarray) -> np.ndarray:
     """A chained hash as the coin's draw in [0, 1)."""
     return h.view(np.int64) / 2.0**64 + 0.5
-
-
-def coin(seed: int, *cols: tuple[np.ndarray, str]) -> np.ndarray:
-    """``diffusion.common.coin(seed, *cols)`` over arrays of ``(values, kind)``,
-    hashed as Spark hashes that type: ``"int"`` for world ids, ``"long"`` for
-    RR and node ids, and for a seed literal that does not fit in 32 bits.
-    The kernels chain the hash themselves, so that a prefix of the columns
-    shared by many coins is hashed once."""
-    h = _seeded(seed)
-    for x, kind in cols:
-        h = _xxh64(x, h, kind)
-    return _unit(h)
 
 
 def _murmur3(x, h: np.ndarray, kind: str) -> np.ndarray:
@@ -91,7 +83,8 @@ def _murmur3(x, h: np.ndarray, kind: str) -> np.ndarray:
 
 def spark_hash(*cols: tuple[np.ndarray, str]) -> np.ndarray:
     """Spark's ``hash(*cols)`` (Murmur3, seed 42), the key of its hash
-    partitioning, over columns of ``(values, kind)`` as in ``coin``."""
+    partitioning, over columns of ``(values, kind)`` with ``kind`` as in
+    ``_xxh64``."""
     h = np.full(1, 42, np.uint32)
     for x, kind in cols:
         h = _murmur3(x, h, kind)

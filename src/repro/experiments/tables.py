@@ -13,8 +13,7 @@ from repro.bidlearn.auctions import (
 )
 from repro.core import configs
 from repro.core.itemsets import is_monotone, is_supermodular
-from repro.graphs.generator import NETWORK_SPECS, load_network
-from repro.graphs.stats import network_stats
+from repro.graphs.generator import NETWORK_SPECS, SocialGraph, load_network
 
 #: Paper's Table 2 rows, for side-by-side comparison.
 PAPER_TABLE2 = pd.DataFrame(
@@ -36,6 +35,24 @@ PAPER_TABLE3_GAP = {
 PAPER_TABLE3_GAP[2] = PAPER_TABLE3_GAP[1]
 PAPER_TABLE3_GAP[4] = PAPER_TABLE3_GAP[3]
 PAPER_TABLE3_GAP[6] = PAPER_TABLE3_GAP[5]
+
+
+def network_stats(graph: SocialGraph) -> dict:
+    """Table 2 row: nodes, edges, avg degree, type.
+
+    Mirrors the paper's convention (#edges = stored pairs for directed
+    graphs / undirected pairs for undirected ones; avg degree =
+    edges/nodes, matching e.g. 192K/12.9K = 14.8 for Flixster).
+    """
+    m_directed = graph.m
+    m_report = m_directed if graph.directed else m_directed // 2
+    return {
+        "network": graph.name,
+        "nodes": graph.n,
+        "edges": m_report,
+        "avg_degree": round(m_report / graph.n, 1),
+        "type": "directed" if graph.directed else "undirected",
+    }
 
 
 def table2(spark: SparkSession) -> pd.DataFrame:

@@ -128,17 +128,6 @@ def power_law_graph(
     return from_edge_pairs(spark, pairs, name=name, n=n, directed=directed)
 
 
-def er_graph(
-    spark: SparkSession, *, name: str, n: int, m_target: int, seed: int = 0
-) -> SocialGraph:
-    """Small Erdős–Rényi-style directed graph (tests)."""
-    rng = np.random.default_rng(seed)
-    pairs = rng.integers(0, n, size=(int(m_target * 1.3), 2))
-    pairs = pairs[pairs[:, 0] != pairs[:, 1]]
-    pairs = np.column_stack(_unique_pairs(pairs[:, 0], pairs[:, 1], n))[:m_target]
-    return from_edge_pairs(spark, pairs, name=name, n=n, directed=True)
-
-
 #: Edges of the Figure 1 example network (all probabilities 1). Nodes are
 #: 0-indexed: paper's v1..v7 are 0..6. Reachability: v5 (=4) reaches
 #: {v3..v7} (5 nodes incl. itself), v1 (=0) reaches {v1..v4} (4 nodes).

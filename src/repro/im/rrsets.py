@@ -100,17 +100,11 @@ class RRCollection:
     def __len__(self) -> int:
         return len(self.sets)
 
-    def extend(self, new_sets: RRSets | list[np.ndarray]) -> None:
-        """Append RR sets, flat or as a list of arrays of distinct nodes."""
-        if isinstance(new_sets, RRSets):
-            members = new_sets.nodes[new_sets.ptr[0]:new_sets.ptr[-1]]
-            sizes = np.diff(new_sets.ptr)
-        else:
-            members = np.concatenate([np.zeros(0, np.int64), *new_sets])
-            sizes = [len(s) for s in new_sets]
-        ptr = self.sets.ptr
-        self.sets = RRSets(np.concatenate([self.sets.nodes, members]),
-                           np.concatenate([ptr, ptr[-1] + np.cumsum(sizes, dtype=np.int64)]))
+    def extend(self, new_sets: RRSets) -> None:
+        """Append RR sets."""
+        nodes, ptr, ours = new_sets.nodes, new_sets.ptr, self.sets.ptr
+        self.sets = RRSets(np.concatenate([self.sets.nodes, nodes[ptr[0]:ptr[-1]]]),
+                           np.concatenate([ours, ours[-1] + (ptr[1:] - ptr[0])]))
 
     def node_selection(self, k: int) -> tuple[list[int], np.ndarray]:
         """IMM's NodeSelection: greedy max ``k``-cover over the RR sets.

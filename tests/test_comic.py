@@ -5,9 +5,10 @@ import pytest
 from repro.alloc import comic_baselines
 from repro.alloc.comic_baselines import adoption_frequency, rr_cim, rr_sim_plus
 from repro.core import configs
-from repro.graphs.generator import er_graph, power_law_graph
+from repro.graphs.generator import power_law_graph
 from repro.im.imm import imm
 from repro.im.rrsets import sample_rr_sets
+from tests.oracles import er_graph
 
 
 @pytest.fixture(scope="module")

@@ -15,8 +15,8 @@ from repro.diffusion.epic import (
     simulate_welfare,
     simulate_welfare_multi,
 )
-from repro.diffusion.ic import exact_reachable
-from repro.graphs.generator import FIG1_EDGES, er_graph, fig1_graph
+from repro.graphs.generator import FIG1_EDGES, fig1_graph
+from tests.oracles import er_graph, exact_reachable
 
 
 @pytest.fixture(scope="module")

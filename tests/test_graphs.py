@@ -10,14 +10,13 @@ from repro.graphs.generator import (
     FIG1_EDGES,
     NETWORK_SPECS,
     _unique_pairs,
-    er_graph,
     fig1_graph,
     from_edge_pairs,
     load_network,
     power_law_graph,
 )
-from repro.graphs.stats import network_stats
-from repro.oracle import assert_equivalent
+from repro.experiments.tables import network_stats
+from tests.oracles import assert_equivalent, er_graph
 
 
 @pytest.fixture(scope="module")

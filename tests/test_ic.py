@@ -6,14 +6,14 @@ import dataclasses
 import numpy as np
 import pytest
 
-from repro.diffusion.ic import (
+from repro.diffusion.ic import reached, spread_mc
+from repro.graphs.generator import fig1_graph, from_edge_pairs
+from tests.oracles import (
+    assert_equivalent,
+    er_graph,
     exact_reachable,
-    reached,
     spread_exact_enumeration,
-    spread_mc,
 )
-from repro.graphs.generator import er_graph, fig1_graph, from_edge_pairs
-from repro.oracle import assert_equivalent
 
 
 @pytest.fixture(scope="module")

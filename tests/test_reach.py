@@ -14,16 +14,16 @@ from pyspark.sql import functions as F
 from repro.alloc.comic_baselines import adoption_frequency
 from repro.core import configs
 from repro.diffusion import reach
-from repro.diffusion.common import coin
 from repro.diffusion.epic import final_adoptions, simulate_welfare, simulate_welfare_multi
-from repro.diffusion.ic import exact_reachable, reached, spread_mc
-from repro.graphs.generator import FIG1_EDGES, er_graph, fig1_graph
+from repro.diffusion.ic import reached, spread_mc
+from repro.graphs.generator import FIG1_EDGES, fig1_graph
 from repro.im.rrsets import sample_rr_sets
+from tests.oracles import coin, er_graph, exact_reachable, spark_coin
 
 
 @pytest.mark.parametrize("seed", [7, 2**31 + 5])
 def test_numpy_coin_matches_spark(spark, seed):
-    """Same draw as ``diffusion.common.coin`` on (int world, long, long)
+    """Same draw as Spark's ``xxhash64`` coin on (int world, long, long)
     keys over the full value ranges, for an int- and a long-typed seed."""
     rng = np.random.default_rng(seed % 1000)
     i64 = np.iinfo(np.int64)
@@ -34,10 +34,10 @@ def test_numpy_coin_matches_spark(spark, seed):
     })
     got = (
         spark.createDataFrame(pdf, "world int, u long, v long")
-        .select("*", coin(seed, "world", "u", "v").alias("c"))
+        .select("*", spark_coin(seed, "world", "u", "v").alias("c"))
         .toPandas()
     )
-    mine = reach.coin(seed, (got["world"], "int"), (got["u"], "long"), (got["v"], "long"))
+    mine = coin(seed, (got["world"], "int"), (got["u"], "long"), (got["v"], "long"))
     np.testing.assert_array_equal(mine, got["c"].to_numpy())
 
 
@@ -60,7 +60,7 @@ def test_hoisted_coin_is_coin(seed, key_type):
         src, dst = (v, u) if reverse else (u, v)
         assert len(c) > m / 2
         np.testing.assert_array_equal(
-            c, reach.coin(seed, (ukeys[k], key_type), (src, "long"), (dst, "long")))
+            c, coin(seed, (ukeys[k], key_type), (src, "long"), (dst, "long")))
 
 
 def test_numpy_hash_matches_spark(spark):

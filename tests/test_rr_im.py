@@ -10,6 +10,7 @@ from repro.graphs.generator import fig1_graph, power_law_graph
 from repro.im.imm import imm
 from repro.im.primm import lambda_prime, lambda_star, log_binom, primm
 from repro.im.rrsets import RRCollection, RRSets, sample_rr_sets
+from tests.oracles import rr_sets
 
 
 @pytest.fixture(scope="module")
@@ -144,16 +145,14 @@ def per_set_node_selection(sets: list[np.ndarray], n: int, k: int) -> tuple[list
 ])
 def test_node_selection_is_the_per_set_loop(n, n_sets, max_size, k):
     """Seeds and coverage (bit for bit) equal the per-set loop's, with the
-    sets added over several ``extend`` calls, flat and as lists."""
+    sets added over several ``extend`` calls, whole and as slices."""
     rng = np.random.default_rng(n * n_sets + k)
     sets = [rng.choice(n, size=rng.integers(0, max_size + 1), replace=False)
             for _ in range(n_sets)]
     rr = RRCollection(n)
     third = n_sets // 3
-    rr.extend(sets[:third])
-    rest = sets[third:]
-    flat = RRSets(np.concatenate([np.zeros(0, np.int64), *rest]),
-                  np.r_[0, np.cumsum([len(s) for s in rest])])
+    rr.extend(rr_sets(sets[:third]))
+    flat = rr_sets(sets[third:])
     rr.extend(flat[:third])
     rr.extend(flat[third:])
     seeds, cov = rr.node_selection(k)
@@ -164,7 +163,7 @@ def test_node_selection_is_the_per_set_loop(n, n_sets, max_size, k):
 
 def test_node_selection_greedy_cover():
     rr = RRCollection(5)
-    rr.extend([np.array(s) for s in ([0, 1], [0, 2], [0, 3], [4], [4, 1])])
+    rr.extend(rr_sets([np.array(s) for s in ([0, 1], [0, 2], [0, 3], [4], [4, 1])]))
     seeds, cov = rr.node_selection(2)
     assert seeds[0] == 0                 # covers 3 of 5
     assert cov[0] == pytest.approx(3 / 5)
@@ -178,7 +177,7 @@ def test_node_selection_greedy_cover():
 def test_coverage_of_matches_node_selection():
     rr = RRCollection(6)
     rng = np.random.default_rng(0)
-    rr.extend([rng.choice(6, size=rng.integers(1, 4), replace=False) for _ in range(40)])
+    rr.extend(rr_sets([rng.choice(6, size=rng.integers(1, 4), replace=False) for _ in range(40)]))
     seeds, cov = rr.node_selection(3)
     assert rr.coverage_of(seeds) == pytest.approx(cov[-1])
 
@@ -188,7 +187,7 @@ def test_coverage_of_equals_the_per_set_loop():
     empty sets and repeated seeds included."""
     rr = RRCollection(50)
     rng = np.random.default_rng(1)
-    rr.extend([rng.choice(50, size=rng.integers(0, 6), replace=False) for _ in range(997)])
+    rr.extend(rr_sets([rng.choice(50, size=rng.integers(0, 6), replace=False) for _ in range(997)]))
     for seeds in ([], [3], [7, 7, 12], list(range(0, 50, 3))):
         mask = np.isin(np.arange(50), seeds)
         hits = sum(1 for s in rr.sets if len(s) and mask[s].any())

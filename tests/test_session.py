@@ -1,17 +1,21 @@
 """The session ``get_spark`` builds serves its Python workers through
 ``pyspark_repro_worker``, whose ``importlib.invalidate_caches`` skips the
-workers' zipimporters but still invalidates every other finder, and talks
-to them over Unix-domain sockets in a private directory; its driver JVM
-compiles with C1 only."""
+workers' zipimporters but still invalidates every other finder and whose
+``main`` leaves a closed socket quietly, and talks to them over
+Unix-domain sockets in a private directory; its driver JVM compiles with
+C1 only."""
+import importlib
 import json
 import os
 import shutil
+import socket
 import subprocess
 import sys
 import tempfile
 import uuid
 from pathlib import Path
 
+import pytest
 from pyspark import SparkFiles
 
 import repro
@@ -77,6 +81,41 @@ def test_workers_talk_over_unix_domain_sockets(spark):
         return os.environ.get("PYTHON_UNIX_DOMAIN_ENABLED", "").lower()
 
     assert _on_every_task(spark, mode) == ["true"] * spark.sparkContext.defaultParallelism
+
+
+def _daemon_files(sock: socket.socket) -> tuple:
+    """A worker's input and output streams over ``sock``, as ``pyspark.daemon`` opens them."""
+    return (os.fdopen(os.dup(sock.fileno()), "rb", 65536),
+            os.fdopen(os.dup(sock.fileno()), "wb", 65536))
+
+
+def test_idle_worker_leaves_a_closed_socket_quietly(monkeypatch):
+    """An idle reused worker whose socket the JVM has closed, as
+    ``spark.stop()`` closes them, exits non-zero and leaves nothing for the
+    daemon's flush: ``pyspark.worker.main`` left an error report there, and
+    the flush to the closed socket raised ``BrokenPipeError``. A task's
+    bytes all still reach ``pyspark.worker.main``."""
+    monkeypatch.setattr(importlib, "invalidate_caches", importlib.invalidate_caches)
+    import pyspark_repro_worker as w
+
+    ours, jvm = socket.socketpair()
+    jvm.close()
+    infile, outfile = _daemon_files(ours)
+    with ours, infile, outfile:
+        with pytest.raises(SystemExit) as exit_:
+            w.main(infile, outfile)
+        assert exit_.value.code
+        outfile.flush()
+
+    got = []
+    monkeypatch.setattr(w, "_task_main", lambda i, o: got.append(i.read()))
+    ours, jvm = socket.socketpair()
+    with jvm:
+        jvm.sendall(b"\x00\x00\x00\x03task")
+    infile, outfile = _daemon_files(ours)
+    with ours, infile, outfile:
+        w.main(infile, outfile)
+    assert got == [b"\x00\x00\x00\x03task"]
 
 
 def _fresh_driver(tmp: Path, conf: Path) -> tuple[str, list[str]]:
