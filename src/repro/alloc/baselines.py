@@ -26,7 +26,7 @@ def item_disj(
     graph: SocialGraph,
     budgets: list[int],
     *,
-    seed: int = 0,
+    seed: int,
 ) -> AllocationResult:
     """One item per seed node (§6.1.2.2)."""
     total = int(sum(budgets))
@@ -61,7 +61,7 @@ def bundle_disj(
     model: UtilityModel,
     budgets: list[int],
     *,
-    seed: int = 0,
+    seed: int,
 ) -> AllocationResult:
     """Bundle-based disjoint allocation (§6.1.2.3)."""
     det = model.det_utility()

@@ -40,8 +40,8 @@ def adoption_frequency(
     seeds: list[int],
     q: float,
     *,
-    n_worlds: int = 8,
-    seed: int = 0,
+    n_worlds: int,
+    seed: int,
 ) -> np.ndarray:
     """Per-node frequency of adopting a single item with GAP prob ``q``.
 
@@ -78,7 +78,7 @@ def rr_sim_plus(
     b1: int,
     b2: int,
     *,
-    seed: int = 0,
+    seed: int,
 ) -> AllocationResult:
     """RR-SIM⁺: fix item-2 seeds by IMM, maximize item-1 adoptions."""
     gap = model.gap_params()
@@ -103,7 +103,7 @@ def rr_cim(
     b1: int,
     b2: int,
     *,
-    seed: int = 0,
+    seed: int,
 ) -> AllocationResult:
     """RR-CIM: fix item-1 seeds by IMM, sandwich-select item-2 seeds."""
     gap = model.gap_params()

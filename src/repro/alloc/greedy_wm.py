@@ -38,7 +38,7 @@ def greedy_wm(
     graph: SocialGraph,
     budgets: list[int],
     *,
-    seed: int = 0,
+    seed: int,
 ) -> AllocationResult:
     """Algorithm 1: item ``i`` gets the top-``b_i`` seeds of one PRIMM list."""
     res: PrimmResult = primm(graph, list(budgets), seed=seed)

@@ -29,6 +29,9 @@ import numpy as np
 
 from repro.core.utility import norm_cdf
 
+EM_ITERS, EM_TOL = 200, 1e-8  # EM's step limit, and the μ and σ moves that stop it
+FIT_SAMPLES = 10_000  # samples §6.4.1 draws from the learned distribution
+
 
 def _phi(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / math.sqrt(2 * math.pi)
@@ -50,9 +53,9 @@ def simulate_bidding_history(
     mu: float,
     sigma: float,
     *,
-    n_auctions: int = 400,
-    n_bidders: int = 6,
-    seed: int = 0,
+    n_auctions: int,
+    n_bidders: int,
+    seed: int,
 ) -> BiddingHistory:
     """English (proxy) auctions from N(mu, sigma²) valuations."""
     rng = np.random.default_rng(seed)
@@ -63,9 +66,7 @@ def simulate_bidding_history(
     return BiddingHistory(observed=losers, censored_at=second_price)
 
 
-def learn_value_distribution(
-    history: BiddingHistory, *, n_iter: int = 200, tol: float = 1e-8
-) -> tuple[float, float]:
+def learn_value_distribution(history: BiddingHistory) -> tuple[float, float]:
     """Censored-normal EM: recover (mu, sigma) with hidden winners.
 
     E-step uses the truncated-normal moments
@@ -78,7 +79,7 @@ def learn_value_distribution(
     n_obs, n_cen = len(x), len(c)
     mu = float(np.concatenate([x, c]).mean())
     sigma = float(np.concatenate([x, c]).std() + 1e-6)
-    for _ in range(n_iter):
+    for _ in range(EM_ITERS):
         z = (c - mu) / sigma
         # guard the hazard in the far tail
         denom = np.clip(1.0 - _cdf(z), 1e-12, None)
@@ -89,7 +90,7 @@ def learn_value_distribution(
         new_mu = (x.sum() + e1.sum()) / total
         new_var = (np.sum(x**2) + e2.sum()) / total - new_mu**2
         new_sigma = math.sqrt(max(new_var, 1e-9))
-        if abs(new_mu - mu) < tol and abs(new_sigma - sigma) < tol:
+        if abs(new_mu - mu) < EM_TOL and abs(new_sigma - sigma) < EM_TOL:
             mu, sigma = new_mu, new_sigma
             break
         mu, sigma = new_mu, new_sigma
@@ -104,9 +105,9 @@ def naive_estimate(history: BiddingHistory) -> tuple[float, float]:
     return float(all_bids.mean()), float(all_bids.std())
 
 
-def gaussian_fit_of_samples(mu: float, sigma: float, *, n: int = 10_000, seed: int = 1) -> tuple[float, float]:
-    """§6.4.1's final step: draw 10,000 samples from the learned
+def gaussian_fit_of_samples(mu: float, sigma: float, *, seed: int) -> tuple[float, float]:
+    """§6.4.1's final step: draw ``FIT_SAMPLES`` samples from the learned
     distribution and fit a gaussian (here: sample mean/std)."""
     rng = np.random.default_rng(seed)
-    s = rng.normal(mu, sigma, n)
+    s = rng.normal(mu, sigma, FIT_SAMPLES)
     return float(s.mean()), float(s.std())

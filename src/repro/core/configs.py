@@ -50,7 +50,7 @@ def two_item_model(config: int) -> UtilityModel:
     )
 
 
-def additive_model(n_items: int = 10) -> UtilityModel:
+def additive_model(n_items: int) -> UtilityModel:
     """Config 7: every item has deterministic utility exactly 1, utility
     additive — minimal advantage to supermodularity-exploiting methods."""
     prices = np.ones(n_items)
@@ -64,7 +64,7 @@ def additive_model(n_items: int = 10) -> UtilityModel:
     )
 
 
-def cone_model(n_items: int = 10, core: int = 0, name: str = "cone") -> UtilityModel:
+def cone_model(n_items: int, core: int, name: str) -> UtilityModel:
     """Configs 8–9: a single "core" item makes utility positive.
 
     Deterministic utility is 5 + 2(|S|−1) for S containing the core and
@@ -86,7 +86,7 @@ def cone_model(n_items: int = 10, core: int = 0, name: str = "cone") -> UtilityM
     )
 
 
-def levelwise_model(n_items: int = 10, seed: int = 7) -> UtilityModel:
+def levelwise_model(n_items: int, seed: int) -> UtilityModel:
     """Config 10: random level-wise supermodular valuation (Eq. 6).
 
     Level-1 prices/values are random so that a random subset of the items
@@ -223,7 +223,11 @@ def real_model() -> UtilityModel:
     )
 
 
-def multi_item_model(config: int, n_items: int = 10, seed: int = 7) -> UtilityModel:
+#: The seed of config 10's random level-wise valuation.
+LEVELWISE_SEED = 7
+
+
+def multi_item_model(config: int, n_items: int) -> UtilityModel:
     """Configs 7–10 by number (Table 4)."""
     if config == 7:
         return additive_model(n_items)
@@ -232,5 +236,5 @@ def multi_item_model(config: int, n_items: int = 10, seed: int = 7) -> UtilityMo
     if config == 9:  # core = min-budget item = bit n-1
         return cone_model(n_items, core=n_items - 1, name="config9-cone-min")
     if config == 10:
-        return levelwise_model(n_items, seed)
+        return levelwise_model(n_items, LEVELWISE_SEED)
     raise ValueError(f"unknown multi-item configuration {config}")

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.core.itemsets import (
     additive_over_masks,
-    is_monotone,
     is_supermodular,
     popcount,
     submasks,
@@ -72,9 +71,6 @@ class UtilityModel:
     def det_utility(self) -> np.ndarray:
         """Deterministic utility V − P per mask (noise ignored, §6.1.2)."""
         return self.values - self.price_of_masks()
-
-    def monotone_value(self) -> bool:
-        return is_monotone(self.values, self.n_items)
 
     # ---- noise worlds --------------------------------------------------
     def sample_noise(self, rng: np.random.Generator) -> np.ndarray:

@@ -117,8 +117,8 @@ def simulate_welfare_multi(
     model: UtilityModel,
     allocations: Mapping[str, Allocation],
     *,
-    n_worlds: int = 16,
-    seed: int = 0,
+    n_worlds: int,
+    seed: int,
 ) -> dict[str, WelfareResult]:
     """Estimate ρ and α for several allocations under shared worlds."""
     (alloc, world, _, adopt), util, supersteps = _run_simulation(
@@ -133,27 +133,13 @@ def simulate_welfare_multi(
                                 supersteps) for i, name in enumerate(allocations)}
 
 
-def simulate_welfare(
-    graph,
-    model: UtilityModel,
-    allocation: Allocation,
-    *,
-    n_worlds: int = 16,
-    seed: int = 0,
-) -> WelfareResult:
-    """Single-allocation convenience wrapper."""
-    return simulate_welfare_multi(
-        graph, model, {"only": allocation}, n_worlds=n_worlds, seed=seed
-    )["only"]
-
-
 def final_adoptions(
     graph,
     model: UtilityModel,
     allocation: Allocation,
     *,
-    n_worlds: int = 8,
-    seed: int = 0,
+    n_worlds: int,
+    seed: int,
 ) -> dict[str, np.ndarray]:
     """Per-(world, node) final adoption masks as arrays ``world``, ``node``
     and ``adopt`` — for tests and for RR-CIM's item-1 adoption count."""

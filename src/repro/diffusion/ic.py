@@ -27,7 +27,7 @@ def reached(
 
 
 def spread_mc(
-    graph: SocialGraph, seeds: list[int], *, n_worlds: int = 32, seed: int = 0
+    graph: SocialGraph, seeds: list[int], *, n_worlds: int, seed: int
 ) -> float:
     """Monte-Carlo estimate of the expected spread σ(seeds)."""
     return len(reached(graph, seeds, n_worlds=n_worlds, seed=seed)[1]) / n_worlds

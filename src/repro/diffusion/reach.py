@@ -125,7 +125,7 @@ def _out_edges(
 
 def reach(
     csr: tuple, keys: np.ndarray, starts: np.ndarray, *, edge_seed: int, key_type: str,
-    reverse: bool = False, accept: tuple[int, np.ndarray] | None = None,
+    reverse: bool = False, accept: tuple[int, np.ndarray] | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Batched BFS: the nodes each key (an IC possible world or an RR set)
     reaches from its start nodes in its own live-edge world.

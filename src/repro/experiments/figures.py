@@ -47,7 +47,7 @@ def _point(**columns) -> tuple:
 
 #: One small engine call per graph, so that no timed allocation pays for
 #: starting the Python workers or broadcasting the graph's CSR.
-_warm_up = cache(lambda graph: spread_mc(graph, [0], n_worlds=1))
+_warm_up = cache(lambda graph: spread_mc(graph, [0], n_worlds=1, seed=SEED))
 
 
 def _allocate(graph: SocialGraph, model, name: str, budgets) -> tuple[AllocationResult, float]:

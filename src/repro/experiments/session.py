@@ -49,7 +49,7 @@ def socket_dir() -> str:
     return d
 
 
-def get_spark(app: str = "repro-job") -> SparkSession:
+def get_spark(app: str) -> SparkSession:
     """A local session. The JVM reads master and driver memory at launch,
     from ``PYSPARK_SUBMIT_ARGS``. The Python workers run through
     ``pyspark_repro_worker`` (DESIGN.md), whose directory reaches them

@@ -36,6 +36,8 @@ PAPER_TABLE3_GAP[2] = PAPER_TABLE3_GAP[1]
 PAPER_TABLE3_GAP[4] = PAPER_TABLE3_GAP[3]
 PAPER_TABLE3_GAP[6] = PAPER_TABLE3_GAP[5]
 
+TABLE5_BIDDERS = 6  # bidders in each synthetic Table 5 auction
+
 
 def network_stats(graph: SocialGraph) -> dict:
     """Table 2 row: nodes, edges, avg degree, type.
@@ -110,7 +112,7 @@ def table4(n_items: int = 10) -> pd.DataFrame:
     return pd.DataFrame(rows)
 
 
-def table5(*, n_auctions: int = 400, n_bidders: int = 6, seed: int = 0) -> pd.DataFrame:
+def table5(*, n_auctions: int = 400, seed: int) -> pd.DataFrame:
     """Table 5: learned values/noise vs ground truth (paper's numbers).
 
     For each anchored itemset we synthesize bidding histories from the
@@ -129,7 +131,7 @@ def table5(*, n_auctions: int = 400, n_bidders: int = 6, seed: int = 0) -> pd.Da
     for i, (mask, (price, value, var)) in enumerate(configs.TABLE5_ANCHORS.items()):
         sigma = float(np.sqrt(var))
         hist = simulate_bidding_history(
-            value, sigma, n_auctions=n_auctions, n_bidders=n_bidders, seed=seed + i
+            value, sigma, n_auctions=n_auctions, n_bidders=TABLE5_BIDDERS, seed=seed + i
         )
         mu_hat, sigma_hat = learn_value_distribution(hist)
         mu_fit, sigma_fit = gaussian_fit_of_samples(mu_hat, sigma_hat, seed=seed + i)

@@ -92,20 +92,22 @@ def from_edge_pairs(
     return SocialGraph(name, n, directed, src, dst, p, spark)
 
 
+ZIPF_EXPONENT = 0.8  # of the stand-in networks' endpoint rank weights
+
+
 def power_law_graph(
     spark: SparkSession,
     *,
     name: str,
     n: int,
     m_target: int,
-    directed: bool = True,
-    seed: int = 0,
-    alpha: float = 0.8,
+    directed: bool,
+    seed: int,
 ) -> SocialGraph:
     """Deterministic heavy-tailed random graph.
 
     Endpoints are drawn from a Zipf-like rank distribution with exponent
-    ``alpha`` over two independent node permutations (so in- and
+    ``ZIPF_EXPONENT`` over two independent node permutations (so in- and
     out-degree hubs differ), giving power-law-ish in/out degree tails like
     real social networks. ``m_target`` is approximate (duplicates and
     self-loops are dropped). For undirected graphs ``m_target`` counts
@@ -113,7 +115,7 @@ def power_law_graph(
     """
     rng = np.random.default_rng(seed)
     ranks = np.arange(1, n + 1, dtype=float)
-    w = ranks ** (-alpha)
+    w = ranks ** (-ZIPF_EXPONENT)
     w /= w.sum()
     n_draw = int(m_target * 1.25)
     perm_src = rng.permutation(n)

@@ -15,7 +15,7 @@ def imm(
     graph: SocialGraph,
     k: int,
     *,
-    seed: int = 0,
+    seed: int,
 ) -> PrimmResult:
     """Ordered (greedy) seed set of size ``k`` maximizing IC spread."""
     return primm(graph, [k], seed=seed)

@@ -81,7 +81,7 @@ def primm(
     graph: SocialGraph,
     budgets: list[int],
     *,
-    seed: int = 0,
+    seed: int,
 ) -> PrimmResult:
     """Algorithm 3. ``budgets`` is b⃗ (any order; sorted non-increasing)."""
     b = sorted(int(x) for x in budgets if x > 0)[::-1]
@@ -136,10 +136,8 @@ def primm(
     i = 1
     budget_switch = False
     last_selection: list[int] = []
-    lb = 1.0
     while i <= max_i and s < len(b):
         k = b[s]
-        lb = 1.0
         x = n / (2**i)
         top_up(failing_path(k, i))
         if budget_switch:
@@ -157,8 +155,8 @@ def primm(
         else:
             i += 1
             budget_switch = False
-    if s < len(b):                                  # lines 22-25 fallback
-        top_up([lambda_star(n, b[s], EPS, ell_p) / lb])
+    if s < len(b):                                  # lines 22-25 fallback: LB = 1
+        top_up([lambda_star(n, b[s], EPS, ell_p)])
     seeds, coverage = rr.node_selection(b[0])       # line 26: b̄ = max budget
     return PrimmResult(seeds=seeds, n_rr=len(rr), coverage=coverage,
                        sampled=sampled, sampling_calls=calls)

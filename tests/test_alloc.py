@@ -11,7 +11,7 @@ from repro.graphs.generator import fig1_graph, power_law_graph
 
 @pytest.fixture(scope="module")
 def graph(spark):
-    return power_law_graph(spark, name="pl-alloc", n=250, m_target=1500, seed=21)
+    return power_law_graph(spark, name="pl-alloc", n=250, m_target=1500, directed=True, seed=21)
 
 
 def test_allocation_derived_from_seed_lists_in_their_order():
@@ -116,7 +116,7 @@ def test_bundle_disj_budgets_not_exceeded(graph):
 
 def test_cone_config_bundle_contains_core(graph):
     """Config 8: the only non-negative bundles contain the core item."""
-    m = configs.cone_model(4, core=0)
+    m = configs.cone_model(4, core=0, name="cone")
     bd = bundle_disj(graph, m, [4, 3, 2, 1], seed=9)
     for mask in bd.allocation.values():
         if popcount(mask) > 1 or mask == 1:
@@ -137,3 +137,35 @@ def test_greedywm_beats_item_disj_when_bundling_matters(graph):
     )
     assert res["gw"].welfare > res["idj"].welfare
     assert res["gw"].welfare > 0
+
+
+def test_greedywm_not_below_item_disj_under_config3(spark):
+    """Config 3 (both items individually non-negative) at [6, 6] on an
+    800-node graph: greedyWM's welfare is at least item-disj's in the
+    shared worlds."""
+    g = power_law_graph(spark, name="pl-2item", n=800, m_target=5600, directed=True, seed=41)
+    m = configs.two_item_model(3)
+    gw = greedy_wm(g, [6, 6], seed=1)
+    idj = item_disj(g, [6, 6], seed=1)
+    bdj = bundle_disj(g, m, [6, 6], seed=1)
+    res = simulate_welfare_multi(
+        g, m, {"gw": gw.allocation, "idj": idj.allocation, "bdj": bdj.allocation},
+        n_worlds=4, seed=2,
+    )
+    assert res["gw"].welfare >= res["idj"].welfare - 1e-9
+
+
+@pytest.mark.parametrize("config,budgets,graph_seed", [
+    ("additive", [3] * 10, 43),          # config 7 with 10 items (Fig. 5)
+    ("real", [6, 6, 4, 2, 2], 47),       # Table 5's learned model (Fig. 7)
+])
+def test_greedywm_welfare_positive(spark, config, budgets, graph_seed):
+    """greedyWM's allocation on an 800-node graph is adopted and earns
+    positive welfare, on the g-table and on the pair-table path."""
+    g = power_law_graph(spark, name=f"pl-{config}", n=800, m_target=5600, directed=True,
+                        seed=graph_seed)
+    m = configs.additive_model(10) if config == "additive" else configs.real_model()
+    gw = greedy_wm(g, budgets, seed=1)
+    r = simulate_welfare_multi(g, m, {"gw": gw.allocation}, n_worlds=4, seed=2)["gw"]
+    assert r.welfare > 0
+    assert r.adoptions > 0

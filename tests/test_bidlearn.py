@@ -26,7 +26,7 @@ def test_em_recovers_table5_parameters(mu, var):
 def test_naive_estimator_biased_low():
     """Without the hidden-bid correction the mean is biased low — the
     effect Jiang & Leyton-Brown's method (and our EM) corrects."""
-    hist = simulate_bidding_history(100.0, 5.0, n_auctions=800, seed=1)
+    hist = simulate_bidding_history(100.0, 5.0, n_auctions=800, n_bidders=6, seed=1)
     mu_naive, _ = naive_estimate(hist)
     mu_em, _ = learn_value_distribution(hist)
     assert mu_naive < 100.0
@@ -48,8 +48,8 @@ def test_censoring_is_second_price():
 
 
 def test_deterministic_in_seed():
-    a = simulate_bidding_history(10.0, 1.0, seed=9)
-    b = simulate_bidding_history(10.0, 1.0, seed=9)
+    a = simulate_bidding_history(10.0, 1.0, n_auctions=400, n_bidders=6, seed=9)
+    b = simulate_bidding_history(10.0, 1.0, n_auctions=400, n_bidders=6, seed=9)
     assert np.array_equal(a.observed, b.observed)
 
 

@@ -13,7 +13,7 @@ from tests.oracles import er_graph
 
 @pytest.fixture(scope="module")
 def graph(spark):
-    return power_law_graph(spark, name="pl-comic", n=200, m_target=1200, seed=31)
+    return power_law_graph(spark, name="pl-comic", n=200, m_target=1200, directed=True, seed=31)
 
 
 def test_adoption_frequency_bounds(graph):

@@ -50,7 +50,7 @@ def test_cone_model_shape(core):
     """Exactly the supersets of the core have positive deterministic
     utility: 5 + 2(|S|-1); all other sets are negative (§6.3.1.1)."""
     n = 5
-    m = configs.cone_model(n, core=core)
+    m = configs.cone_model(n, core=core, name="cone")
     det = m.det_utility()
     for mask in range(1, 1 << n):
         if mask >> core & 1:
@@ -136,7 +136,8 @@ def test_real_model_is_not_supermodular():
 
 
 def test_real_model_monotone():
-    assert configs.real_model().monotone_value()
+    m = configs.real_model()
+    assert is_monotone(m.values, m.n_items)
 
 
 def test_real_noise_fit_reasonable():

@@ -12,7 +12,6 @@ from repro.diffusion import epic
 from repro.diffusion.epic import (
     allocation_from_pairs,
     final_adoptions,
-    simulate_welfare,
     simulate_welfare_multi,
 )
 from repro.graphs.generator import FIG1_EDGES, fig1_graph
@@ -36,7 +35,8 @@ ALT = [(0, 0), (0, 1), (4, 0), (4, 2)]        # {i1,i2} -> v1; {i1,i3} -> v5
 
 
 def test_example1_greedy_welfare_15(fig1, example):
-    r = simulate_welfare(fig1, example, allocation_from_pairs(GREEDY), n_worlds=2, seed=0)
+    alloc = {"a": allocation_from_pairs(GREEDY)}
+    r = simulate_welfare_multi(fig1, example, alloc, n_worlds=2, seed=0)["a"]
     assert r.welfare == pytest.approx(15.0)
     assert r.adoptions == pytest.approx(15.0)
 
@@ -44,7 +44,8 @@ def test_example1_greedy_welfare_15(fig1, example):
 def test_example1_alternative_welfare_11_adoptions_16(fig1, example):
     """The allocation with MORE adoptions (16 vs 15) has LESS welfare
     (11 vs 15) — the paper's motivating misalignment."""
-    r = simulate_welfare(fig1, example, allocation_from_pairs(ALT), n_worlds=2, seed=0)
+    alloc = {"a": allocation_from_pairs(ALT)}
+    r = simulate_welfare_multi(fig1, example, alloc, n_worlds=2, seed=0)["a"]
     assert r.welfare == pytest.approx(11.0)
     assert r.adoptions == pytest.approx(16.0)
 
@@ -61,7 +62,7 @@ def test_example1_adoption_sets(fig1, example):
 def test_example1_seed_adopts_nothing_alone(fig1, example):
     """i1 alone has negative utility: a lone i1 seed adopts nothing and
     nothing propagates."""
-    r = simulate_welfare(fig1, example, {0: 0b001}, n_worlds=2, seed=0)
+    r = simulate_welfare_multi(fig1, example, {"a": {0: 0b001}}, n_worlds=2, seed=0)["a"]
     assert r.welfare == 0.0 and r.adoptions == 0.0
 
 
@@ -100,7 +101,7 @@ def test_welfare_matches_exact_expectation(fig1, example, pairs):
     half = dataclasses.replace(fig1, name="fig1-half", p=np.full(fig1.m, 0.5))
     allocation = allocation_from_pairs(pairs)
     exact = _exact_welfare(example, allocation, FIG1_EDGES, 0.5)
-    r = simulate_welfare(half, example, allocation, n_worlds=4000, seed=1)
+    r = simulate_welfare_multi(half, example, {"a": allocation}, n_worlds=4000, seed=1)["a"]
     se = r.per_world_welfare.std(ddof=1) / np.sqrt(4000)
     assert se > 0
     assert abs(r.welfare - exact) < 4 * se
@@ -138,7 +139,7 @@ def test_multi_matches_single(spark):
     m = configs.two_item_model(1)
     alloc = allocation_from_pairs([(0, 0), (0, 1), (7, 0), (7, 1)])
     multi = simulate_welfare_multi(g, m, {"a": alloc, "b": {}}, n_worlds=4, seed=9)
-    single = simulate_welfare(g, m, alloc, n_worlds=4, seed=9)
+    single = simulate_welfare_multi(g, m, {"a": alloc}, n_worlds=4, seed=9)["a"]
     assert multi["a"].welfare == pytest.approx(single.welfare)
     assert multi["b"].welfare == 0.0
 
@@ -147,8 +148,8 @@ def test_deterministic_in_seed(spark):
     g = er_graph(spark, name="er-epic3", n=50, m_target=250, seed=3)
     m = configs.two_item_model(5)
     alloc = allocation_from_pairs([(0, 0), (1, 1)])
-    a = simulate_welfare(g, m, alloc, n_worlds=4, seed=21).welfare
-    b = simulate_welfare(g, m, alloc, n_worlds=4, seed=21).welfare
+    a = simulate_welfare_multi(g, m, {"a": alloc}, n_worlds=4, seed=21)["a"].welfare
+    b = simulate_welfare_multi(g, m, {"a": alloc}, n_worlds=4, seed=21)["a"].welfare
     assert a == b
 
 
@@ -158,7 +159,7 @@ def test_per_world_welfare_nonnegative(spark):
     g = er_graph(spark, name="er-epic4", n=60, m_target=300, seed=4)
     m = configs.two_item_model(1)
     alloc = allocation_from_pairs([(i, i % 2) for i in range(8)])
-    r = simulate_welfare(g, m, alloc, n_worlds=6, seed=17)
+    r = simulate_welfare_multi(g, m, {"a": alloc}, n_worlds=6, seed=17)["a"]
     assert np.all(r.per_world_welfare >= -1e-9)
 
 
@@ -169,7 +170,7 @@ def test_real_model_bundle_spreads(spark):
     g = er_graph(spark, name="er-epic5", n=60, m_target=360, seed=5)
     m = configs.real_model()
     alloc = {0: 0b11111, 1: 0b11111}
-    r = simulate_welfare(g, m, alloc, n_worlds=4, seed=2)
+    r = simulate_welfare_multi(g, m, {"a": alloc}, n_worlds=4, seed=2)["a"]
     assert r.welfare > 0.0
     assert r.adoptions >= 2 * 5  # at least the seeds adopt the bundle
 
@@ -186,7 +187,7 @@ def test_supermodularity_bundling_beats_splitting(fig1, example):
 
 
 def test_empty_allocation(fig1, example):
-    r = simulate_welfare(fig1, example, {}, n_worlds=2, seed=0)
+    r = simulate_welfare_multi(fig1, example, {"a": {}}, n_worlds=2, seed=0)["a"]
     assert r.welfare == 0.0 and r.adoptions == 0.0
     adopt = final_adoptions(fig1, example, {}, n_worlds=2, seed=0)
     assert sorted(adopt) == ["adopt", "node", "world"]
@@ -221,10 +222,11 @@ def test_superstep_cap_admits_a_cascade_of_its_depth(fig1, example, monkeypatch)
     three-superstep cascade of {i1, i2} at v1 passes a cap of 3 and raises
     under a cap of 2."""
     monkeypatch.setattr(epic, "MAX_SUPERSTEPS", 3)
-    assert simulate_welfare(fig1, example, {0: 0b011}, n_worlds=1, seed=0).supersteps == 3
+    r = simulate_welfare_multi(fig1, example, {"a": {0: 0b011}}, n_worlds=1, seed=0)["a"]
+    assert r.supersteps == 3
     monkeypatch.setattr(epic, "MAX_SUPERSTEPS", 2)
     with pytest.raises(RuntimeError, match="supersteps"):
-        simulate_welfare(fig1, example, {0: 0b011}, n_worlds=1, seed=0)
+        simulate_welfare_multi(fig1, example, {"a": {0: 0b011}}, n_worlds=1, seed=0)
 
 
 def _eccentricity(seeds) -> int:
@@ -242,7 +244,8 @@ def test_supersteps_are_the_seeds_eccentricity(fig1, example, seeds):
     """p = 1 and the all-items bundle, which every node adopts: the cascade
     changes adoptions for exactly as many supersteps as the seeds' BFS
     eccentricity. One call reports the deepest of its allocations."""
-    r = simulate_welfare(fig1, example, dict.fromkeys(seeds, 0b111), n_worlds=2, seed=0)
+    alloc = {"a": dict.fromkeys(seeds, 0b111)}
+    r = simulate_welfare_multi(fig1, example, alloc, n_worlds=2, seed=0)["a"]
     assert r.supersteps == _eccentricity(seeds)
     res = simulate_welfare_multi(
         fig1, example, {"seeds": dict.fromkeys(seeds, 0b111), "v1": {0: 0b111}}, n_worlds=2, seed=0
@@ -252,5 +255,6 @@ def test_supersteps_are_the_seeds_eccentricity(fig1, example, seeds):
 
 def test_supersteps_zero_when_nothing_adopts(fig1, example):
     """A lone i1 seed adopts nothing, and an empty allocation seeds nothing."""
-    assert simulate_welfare(fig1, example, {0: 0b001}, n_worlds=2, seed=0).supersteps == 0
-    assert simulate_welfare(fig1, example, {}, n_worlds=2, seed=0).supersteps == 0
+    for alloc in ({0: 0b001}, {}):
+        r = simulate_welfare_multi(fig1, example, {"a": alloc}, n_worlds=2, seed=0)["a"]
+        assert r.supersteps == 0

@@ -13,6 +13,7 @@ from tests.test_epic import ALT, GREEDY
 from repro.experiments.tables import (
     PAPER_TABLE2,
     PAPER_TABLE3_GAP,
+    table2,
     table3,
     table4,
     table5,
@@ -33,30 +34,35 @@ def test_table3_has_all_configs(cfg):
 
 
 def test_table4_structural_claims():
-    df = table4(n_items=6)  # smaller lattice for speed; same structure
-    assert list(df["config"]) == [7, 8, 9, 10]
-    assert df["supermodular_value"].all()
-    assert df["monotone_value"].all()
-    # config 7: every nonempty set has positive det utility (2^6 - 1)
-    assert int(df[df["config"] == 7]["n_positive_det_utility"].iloc[0]) == 63
-    # configs 8/9: exactly the supersets of the core: 2^5
-    for cfg in (8, 9):
-        assert int(df[df["config"] == cfg]["n_positive_det_utility"].iloc[0]) == 32
+    for n_items in (6, 10):  # the paper's 10 items, and a smaller lattice of the same structure
+        df = table4(n_items=n_items)
+        assert list(df["config"]) == [7, 8, 9, 10]
+        assert df["supermodular_value"].all()
+        assert df["monotone_value"].all()
+        # config 7: every nonempty set has positive det utility (2^n - 1)
+        assert int(df[df["config"] == 7]["n_positive_det_utility"].iloc[0]) == 2**n_items - 1
+        # configs 8/9: exactly the supersets of the core: 2^(n-1)
+        for cfg in (8, 9):
+            assert int(df[df["config"] == cfg]["n_positive_det_utility"].iloc[0]) == 2**(n_items - 1)
 
 
 def test_table5_learning_recovers_ground_truth():
-    df = table5(n_auctions=300, seed=1)
-    assert len(df) == 5
-    rel_err = (df["learned_value"] - df["paper_value"]).abs() / df["paper_value"]
-    assert (rel_err < 0.02).all(), df
-    # naive estimator is biased low vs the corrected one
-    assert (df["naive_value"] < df["learned_value"]).all()
+    for n_auctions, seed in ((300, 1), (400, 0)):  # (400, 0): the Table 5 job's call
+        df = table5(n_auctions=n_auctions, seed=seed)
+        assert len(df) == 5
+        rel_err = (df["learned_value"] - df["paper_value"]).abs() / df["paper_value"]
+        assert (rel_err < 0.02).all(), df
+        # naive estimator is biased low vs the corrected one
+        assert (df["naive_value"] < df["learned_value"]).all()
 
 
-def test_paper_table2_reference_shape():
+def test_paper_table2_reference_shape(spark):
     assert list(PAPER_TABLE2["network"]) == [
         "Flixster", "Douban-Book", "Douban-Movie", "Twitter",
     ]
+    df = table2(spark)  # the four stand-ins
+    assert len(df) == 4
+    assert set(df["type"]) == {"directed", "undirected"}
 
 
 def test_paper_gap_reference_covers_all_configs():

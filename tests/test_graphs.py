@@ -21,7 +21,7 @@ from tests.oracles import assert_equivalent, er_graph
 
 @pytest.fixture(scope="module")
 def small_graph(spark):
-    return power_law_graph(spark, name="pl-small", n=200, m_target=1200, seed=3)
+    return power_law_graph(spark, name="pl-small", n=200, m_target=1200, directed=True, seed=3)
 
 
 def test_fig1_structure(spark):
@@ -95,8 +95,8 @@ def test_no_self_loops_or_duplicates(small_graph):
 
 
 def test_generator_deterministic(spark):
-    a = power_law_graph(spark, name="a", n=100, m_target=400, seed=9)
-    b = power_law_graph(spark, name="b", n=100, m_target=400, seed=9)
+    a = power_law_graph(spark, name="a", n=100, m_target=400, directed=True, seed=9)
+    b = power_law_graph(spark, name="b", n=100, m_target=400, directed=True, seed=9)
     pa = sorted(map(tuple, a.edges.select("src", "dst").collect()))
     pb = sorted(map(tuple, b.edges.select("src", "dst").collect()))
     assert pa == pb

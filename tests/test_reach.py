@@ -14,7 +14,7 @@ from pyspark.sql import functions as F
 from repro.alloc.comic_baselines import adoption_frequency
 from repro.core import configs
 from repro.diffusion import reach
-from repro.diffusion.epic import final_adoptions, simulate_welfare, simulate_welfare_multi
+from repro.diffusion.epic import final_adoptions, simulate_welfare_multi
 from repro.diffusion.ic import reached, spread_mc
 from repro.graphs.generator import FIG1_EDGES, fig1_graph
 from repro.im.rrsets import sample_rr_sets
@@ -139,7 +139,8 @@ def test_kernel_alone_is_reachability(spark):
     keys = np.repeat(np.arange(len(starts)), [len(s) for s in starts])
     flat = np.concatenate(starts)
     for reverse in (False, True):
-        k, v = reach.reach(csr, keys, flat, edge_seed=0, key_type="int", reverse=reverse)
+        k, v = reach.reach(csr, keys, flat, edge_seed=0, key_type="int", reverse=reverse,
+                           accept=None)
         for i, s in enumerate(starts):
             want = (
                 exact_reachable(fig1, s) if not reverse
@@ -248,9 +249,10 @@ def test_epic_seeds_only_matches_replaced_loop(spark):
 # alias node 0 of the next key: node ids are checked at the engine's entry.
 def test_out_of_range_seed_raises_in_reach(spark):
     with pytest.raises(ValueError, match="node ids"):
-        spread_mc(fig1_graph(spark), [4, 7])
+        spread_mc(fig1_graph(spark), [4, 7], n_worlds=32, seed=0)
 
 
 def test_out_of_range_seed_raises_in_epic(spark):
     with pytest.raises(ValueError, match="node ids"):
-        simulate_welfare(fig1_graph(spark), configs.example_model(), {4: 0b101, 7: 0b101}, n_worlds=2)
+        simulate_welfare_multi(fig1_graph(spark), configs.example_model(),
+                               {"a": {4: 0b101, 7: 0b101}}, n_worlds=2, seed=0)

@@ -15,7 +15,7 @@ from tests.oracles import rr_sets
 
 @pytest.fixture(scope="module")
 def graph(spark):
-    return power_law_graph(spark, name="pl-im", n=250, m_target=1500, seed=8)
+    return power_law_graph(spark, name="pl-im", n=250, m_target=1500, directed=True, seed=8)
 
 
 # ---- RR sets -----------------------------------------------------------

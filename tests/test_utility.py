@@ -10,7 +10,7 @@ import pytest
 
 import repro
 from repro.core import configs
-from repro.core.itemsets import popcount, submasks
+from repro.core.itemsets import is_monotone, popcount, submasks
 from repro.core.utility import (
     adoption_tables_for_worlds,
     g_table,
@@ -50,7 +50,7 @@ def test_norm_cdf_known_values():
 def test_two_item_models_supermodular(cfg):
     m = configs.two_item_model(cfg)
     assert m.supermodular
-    assert m.monotone_value()
+    assert is_monotone(m.values, m.n_items)
     assert m.det_utility()[0] == 0.0
 
 
