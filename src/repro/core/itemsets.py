@@ -60,7 +60,8 @@ def mask_item_matrix(n_items: int) -> np.ndarray:
 
 
 def additive_over_masks(values: np.ndarray) -> np.ndarray:
-    """Additive set function per mask, length 2^n: ``Σ_{j ∈ m} values[j]``.
+    """Additive set function per mask: ``Σ_{j ∈ m} values[..., j]``, shape
+    ``(..., 2^n)`` for ``values`` of shape ``(..., n)``.
 
     The item terms are added in one fixed order, so the bits do not depend
     on the CPU: item ``j < 4⌊n/4⌋`` goes to lane ``j % 4`` (each lane summed
@@ -70,10 +71,11 @@ def additive_over_masks(values: np.ndarray) -> np.ndarray:
     committed results were recorded; a BLAS matvec picks its kernel by CPU
     model, and the SSE kernels (Prescott and older) add in another order.
     """
-    n = len(values)
-    cols = list((mask_item_matrix(n) * np.asarray(values, dtype=np.float64)).T)
+    values = np.asarray(values, dtype=np.float64)
+    n = values.shape[-1]
+    cols = np.moveaxis(mask_item_matrix(n) * values[..., None, :], -1, 0)
     q = n - n % 4
-    out = np.zeros(1 << n)  # a BLAS matvec's output starts at +0.0 too
+    out = np.zeros(values.shape[:-1] + (1 << n,))  # a BLAS matvec's output starts at +0.0 too
     if q:
         l0, l1, l2, l3 = (reduce(np.add, cols[lane:q:4]) for lane in range(4))
         out += (l0 + l2) + (l1 + l3)

@@ -78,7 +78,8 @@ class UtilityModel:
         return rng.normal(0.0, self.noise_std)
 
     def utilities_in_world(self, noise: np.ndarray) -> np.ndarray:
-        """U_W per mask for noise world ``noise`` (additive over items)."""
+        """U_W per mask for noise world ``noise`` (additive over items);
+        one row per world for a ``(W, n_items)`` batch of worlds."""
         return self.det_utility() + additive_over_masks(noise)
 
     # ---- GAP correspondence (Eq. 5), two items only --------------------
@@ -183,23 +184,15 @@ def pair_table(utilities: np.ndarray, n_items: int) -> np.ndarray:
 
 def adoption_tables_for_worlds(
     model: UtilityModel, noises: np.ndarray
-) -> tuple[str, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Per-world adoption lookups for a batch of noise worlds.
 
-    ``noises`` is (W, n_items). Returns ``(kind, tables, util_stack)``:
-    ``kind`` is ``"g"`` (tables shape (W, 2^n)) for supermodular models or
-    ``"pair"`` (tables shape (W, 2^n, 2^n)) otherwise; ``util_stack`` is
-    the (W, 2^n) per-world utility arrays used for welfare accounting.
+    ``noises`` is (W, n_items). Returns ``(tables, util_stack)``: ``tables``
+    are g-tables, shape (W, 2^n), for supermodular models and pair tables,
+    shape (W, 2^n, 2^n), otherwise; ``util_stack`` is the (W, 2^n)
+    per-world utility arrays used for welfare accounting.
     """
-    w = noises.shape[0]
-    util = np.stack([model.utilities_in_world(noises[i]) for i in range(w)])
+    util = model.utilities_in_world(noises)
     if model.supermodular:
-        tables = np.stack(
-            [g_table(util[i], model.n_items) for i in range(w)]
-        ).astype(np.int32)
-        return "g", tables, util
-    assert model.n_items <= 8, (
-        "non-supermodular valuations need the O(4^n) pair table; "
-        f"n_items={model.n_items} is too large"
-    )
-    return "pair", pair_table(util, model.n_items).astype(np.int32), util
+        return np.stack([g_table(u, model.n_items) for u in util]).astype(np.int32), util
+    return pair_table(util, model.n_items).astype(np.int32), util

@@ -31,9 +31,9 @@ from repro.core.utility import UtilityModel, adoption_tables_for_worlds
 from repro.diffusion.reach import cascade, run_sharded, spark_hash
 
 MAX_SUPERSTEPS = 120  # the last superstep that may change an adoption
-#: The replaced Spark loop's shuffle partitions and seed-row input slices
-#: (the jobs' session on a 4-core box), which fix ``_loop_order``.
-LOOP_PARTITIONS, LOOP_SLICES = 32, 4
+#: The replaced Spark loop's shuffle partitions (the jobs' session on a
+#: 4-core box), which fix ``_loop_order``.
+LOOP_PARTITIONS = 32
 
 #: An allocation maps node -> itemset bitmask of items seeded there.
 Allocation = Mapping[int, int]
@@ -69,7 +69,7 @@ def _run_simulation(
     """
     rng = np.random.default_rng(seed)
     noises = np.stack([model.sample_noise(rng) for _ in range(n_worlds)])
-    kind, tables, util = adoption_tables_for_worlds(model, noises)
+    tables, util = adoption_tables_for_worlds(model, noises)
 
     rows = [(ai, w, int(v), int(m)) for ai, name in enumerate(allocations)
             for v, m in allocations[name].items() for w in range(n_worlds) if m]
@@ -79,7 +79,7 @@ def _run_simulation(
     scen = alloc * n_worlds + world
 
     states, steps = zip(*run_sharded(
-        graph, cascade, scen, node, mask, n_worlds=n_worlds, kind=kind, tables=tables,
+        graph, cascade, scen, node, mask, n_worlds=n_worlds, tables=tables,
         edge_seed=seed + 1, cap=MAX_SUPERSTEPS + 1,
     ))
     # one superstep past the cap tells a cascade that converged at the cap
@@ -87,29 +87,21 @@ def _run_simulation(
     if max(steps) - 1 > MAX_SUPERSTEPS:
         raise RuntimeError(f"EPIC did not converge in {MAX_SUPERSTEPS} supersteps")
     s, v, a, t = (np.concatenate(c) for c in zip(*states))
-    order = _loop_order(graph.n, s, v, t, max(steps), n_worlds, scen * graph.n + node)
+    order = _loop_order(graph.n, s, v, t, max(steps), n_worlds)
     return (*np.divmod(s[order], n_worlds), v[order], a[order]), util, max(max(steps) - 1, 0)
 
 
-def _loop_order(n: int, scen, node, touched, steps, n_worlds: int, seed_keys) -> np.ndarray:
+def _loop_order(n: int, scen, node, touched, steps, n_worlds: int) -> np.ndarray:
     """Indices that put the cascade's rows in the order the replaced Spark
-    superstep loop returned them at ``LOOP_PARTITIONS`` and ``LOOP_SLICES``.
+    superstep loop returned them at ``LOOP_PARTITIONS``: rows untouched at
+    the last touching superstep G, then those touched at G; each part by
+    key, or stably by partition if a quiet superstep ran after G.
     Welfare sums ``util`` in this order, so it fixes their last bits;
-    DESIGN.md ("Why EPIC keeps the old row order") derives the rule.
-    ``seed_keys`` are the seed rows as built."""
+    DESIGN.md ("Why EPIC keeps the old row order") derives the rule."""
     keys, g = scen * n + node, touched.max()
     alloc, world = np.divmod(scen, n_worlds)
     part = spark_hash((alloc, "int"), (world, "int"), (node, "long")) % LOOP_PARTITIONS
-    if g > 0:  # rows untouched at G, then touched; by key, or stably by partition after a quiet step
-        return np.lexsort((keys, part * (steps > g), touched == g))
-    by_key = np.argsort(keys)
-    built = by_key[np.searchsorted(keys, seed_keys, sorter=by_key)]
-    if steps == 0:
-        return built
-    # a quiet superstep sorted each input slice of the seed rows by partition
-    batch = max(1, min(len(built) // LOOP_SLICES, 1024))  # as SparkContext.parallelize batches
-    slices = ((np.arange(len(built)) // batch + 1) * LOOP_SLICES - 1) // -(-len(built) // batch)
-    return built[np.lexsort((part[built], slices))]
+    return np.lexsort((keys, part * (steps > g), touched == g))
 
 
 def simulate_welfare_multi(

@@ -161,16 +161,17 @@ def reach(
 
 def cascade(
     csr: tuple, scen: np.ndarray, starts: np.ndarray, masks: np.ndarray, *,
-    n_worlds: int, kind: str, tables: np.ndarray, edge_seed: int, cap: int,
+    n_worlds: int, tables: np.ndarray, edge_seed: int, cap: int,
 ) -> tuple[tuple[np.ndarray, ...], int]:
     """Batched synchronous EPIC (§3.2): node ``starts[i]`` of scenario
     ``scen[i]`` (world ``scen[i] % n_worlds``) desires ``masks[i]``. Each
     superstep, nodes whose adoption changed send it along out-edges live in
     their world (``coin(edge_seed, world, u, v) < p``); a receiver ORs the
-    masks into its desire and adopts ``a | tables[w, desire]`` (``kind="g"``)
-    or ``tables[w, desire, a]``. Returns every state row as ``(scenario,
-    node, adopt, last superstep that touched it or 0)``, sorted, and the
-    supersteps run, ``cap + 1`` if adoptions still changed after ``cap``.
+    masks into its desire and adopts ``a | tables[w, desire]`` from a 2-D
+    g-table or ``tables[w, desire, a]`` from a 3-D pair table. Returns
+    every state row as ``(scenario, node, adopt, last superstep that
+    touched it or 0)``, sorted, and the supersteps run, ``cap + 1`` if
+    adoptions still changed after ``cap``.
 
     The state is dense: cell ``i * n + v`` is node v of the i-th smallest
     scenario, and ``touched = -1`` marks a node no seed or message reached."""
@@ -185,7 +186,7 @@ def cascade(
     def update(ids, step):
         """Adopt from the tables at cells ``ids``; the cells whose adoption changed."""
         prev, w = adopt[ids], world[ids // n]
-        adopt[ids] = prev | tables[w, desire[ids]] if kind == "g" else tables[w, desire[ids], prev]
+        adopt[ids] = prev | tables[w, desire[ids]] if tables.ndim == 2 else tables[w, desire[ids], prev]
         touched[ids] = step
         return ids[adopt[ids] != prev]
 

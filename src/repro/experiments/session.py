@@ -69,7 +69,6 @@ def get_spark(app: str) -> SparkSession:
     )
     s = (
         SparkSession.builder.appName(app)
-        .config("spark.sql.shuffle.partitions", "32")
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.ui.showConsoleProgress", "false")
         .config("spark.python.worker.module", worker)

@@ -12,7 +12,7 @@ from repro.bidlearn.auctions import (
     simulate_bidding_history,
 )
 from repro.core import configs
-from repro.core.itemsets import is_monotone, is_supermodular
+from repro.core.itemsets import bits, is_monotone, is_supermodular
 from repro.graphs.generator import NETWORK_SPECS, SocialGraph, load_network
 
 #: Paper's Table 2 rows, for side-by-side comparison.
@@ -121,13 +121,6 @@ def table5(*, n_auctions: int = 400, seed: int) -> pd.DataFrame:
     the naive (no hidden-bid correction) estimate for contrast.
     """
     rows = []
-    names = {
-        0b00001: "{ps}",
-        0b00011: "{ps,c}",
-        0b11101: "{ps,g1,g2,g3}",
-        0b01111: "{ps,c,g1,g2}",
-        0b11111: "{ps,c,g1,g2,g3}",
-    }
     for i, (mask, (price, value, var)) in enumerate(configs.TABLE5_ANCHORS.items()):
         sigma = float(np.sqrt(var))
         hist = simulate_bidding_history(
@@ -138,7 +131,7 @@ def table5(*, n_auctions: int = 400, seed: int) -> pd.DataFrame:
         mu_naive, _ = naive_estimate(hist)
         rows.append(
             {
-                "itemset": names[mask],
+                "itemset": "{" + ",".join(configs.REAL_ITEMS[j] for j in bits(mask)) + "}",
                 "price": price,
                 "paper_value": value,
                 "paper_noise_var": var,

@@ -16,7 +16,7 @@ def graph(spark):
 
 def test_allocation_derived_from_seed_lists_in_their_order():
     """node -> mask ORs each node's items; nodes come in ``seeds_per_item``
-    order, the build order EPIC reads when no cascade step touches a row."""
+    order."""
     res = AllocationResult({1: [5, 6], 0: [6, 7]})
     assert list(res.allocation.items()) == [(5, 0b10), (6, 0b11), (7, 0b01)]
 

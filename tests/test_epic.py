@@ -1,7 +1,10 @@
 """Tests for the EPIC diffusion simulator — Example 1 end-to-end, the
-model's proven properties (Theorem 1, Lemma 4, Theorem 2's asymmetries),
-and consistency of the multi-allocation batched evaluation."""
+model's proven properties (Theorem 1, Lemma 4, Theorem 2's asymmetries,
+Theorem 3's guarantee against the exact optimum), and consistency of the
+multi-allocation batched evaluation."""
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from repro.diffusion.epic import (
     simulate_welfare_multi,
 )
 from repro.graphs.generator import FIG1_EDGES, fig1_graph
-from tests.oracles import er_graph, exact_reachable
+from tests.oracles import er_graph, exact_reachable, spread_exact_enumeration
 
 
 @pytest.fixture(scope="module")
@@ -258,3 +261,66 @@ def test_supersteps_zero_when_nothing_adopts(fig1, example):
     for alloc in ({0: 0b001}, {}):
         r = simulate_welfare_multi(fig1, example, {"a": alloc}, n_worlds=2, seed=0)["a"]
         assert r.supersteps == 0
+
+
+# ---- Theorem 3 against the exact optimum -------------------------------
+
+ZERO_NOISE = [dataclasses.replace(configs.two_item_model(c), noise_std=np.zeros(2)) for c in (1, 3, 5)]
+
+
+def _pairs_welfare(model, pairs, edges) -> float:
+    return _exact_welfare(model, allocation_from_pairs(pairs), edges, 0.5)
+
+
+def _greedy_wm_exact(graph, budgets: list[int]) -> list[tuple[int, int]]:
+    """greedyWM (Algorithm 1) with exact spread in place of PRIMM: seeds
+    ordered greedily by ``spread_exact_enumeration``, item i seeded at the
+    top-b_i prefix."""
+    seeds: list[int] = []
+    for _ in range(max(budgets)):
+        seeds.append(max((v for v in range(graph.n) if v not in seeds),
+                         key=lambda v: spread_exact_enumeration(graph, seeds + [v])))
+    return [(v, i) for i, b in enumerate(budgets) for v in seeds[:b]]
+
+
+def _opt(model, n: int, budgets: list[int], edges) -> float:
+    """The best exact welfare over every allocation of at most b_i seeds
+    to each item i."""
+    within = [[s for k in range(b + 1) for s in itertools.combinations(range(n), k)] for b in budgets]
+    return max(_pairs_welfare(model, [(v, i) for i, s in enumerate(pick) for v in s], edges)
+               for pick in itertools.product(*within))
+
+
+@pytest.mark.parametrize("instance", ["fig1", 0, 1, 2, 3, 4, 5])
+def test_theorem3_greedy_wm_reaches_1_minus_1_over_e_of_opt(spark, instance):
+    """Theorem 3 with exact spread: on Figure 1 and on random graphs of 5
+    nodes and at most 6 edges, all at p = 0.5, greedyWM's exact welfare is
+    at least (1 − 1/e) of the optimum over every allocation, for zero-noise
+    configs 1, 3 and 5 at budgets [2, 1] and [2, 2]."""
+    graph = (fig1_graph(spark) if instance == "fig1"
+             else er_graph(spark, name=f"er-thm3-{instance}", n=5, m_target=6, seed=instance))
+    half = dataclasses.replace(graph, p=np.full(graph.m, 0.5))
+    edges = list(zip(half.src.tolist(), half.dst.tolist()))
+    assert half.m <= 6 and half.n <= 7
+    for model in ZERO_NOISE:
+        for budgets in ([2, 1], [2, 2]):
+            rho = _pairs_welfare(model, _greedy_wm_exact(half, budgets), edges)
+            opt = _opt(model, half.n, budgets, edges)
+            assert opt > 0
+            assert rho >= (1 - 1 / math.e) * opt - 1e-9, (model.name, budgets, rho, opt)
+
+
+def test_welfare_is_neither_submodular_nor_supermodular():
+    """The paper's remark, on Figure 1 at p = 0.5 with zero-noise config 1
+    (either item alone has utility -1.3, the pair +1), welfare as a set
+    function of (node, item) seeds: (v3, i1) gains nothing alone but 1.5
+    next to (v3, i2), so it is not submodular; and it gains 1.5 next to
+    (v3, i2) but only 0.75 once v2, upstream of v3, also holds the pair,
+    so it is not supermodular either."""
+    model, x = ZERO_NOISE[0], (2, 0)
+
+    def gain(pairs):
+        return _pairs_welfare(model, pairs + [x], FIG1_EDGES) - _pairs_welfare(model, pairs, FIG1_EDGES)
+
+    assert gain([]) == 0.0 and gain([(2, 1)]) == pytest.approx(1.5)
+    assert gain([(2, 1), (1, 0), (1, 1)]) == pytest.approx(0.75)

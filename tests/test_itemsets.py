@@ -60,6 +60,16 @@ def test_additive_over_masks_fixed_order():
         assert got[mask].hex() == (((x[0] + x[2]) + (x[1] + x[3])) + x[4]).hex(), mask
 
 
+@pytest.mark.parametrize("n", [3, 5, 10])
+def test_additive_over_masks_batched_rows_are_the_rows_alone(n):
+    """A (W, n) batch adds each row in the one-row order, bit for bit."""
+    v = np.random.default_rng(n).normal(0, 100, (6, n))
+    got = additive_over_masks(v)
+    assert got.shape == (6, 1 << n)
+    for w in range(6):
+        assert got[w].tobytes() == additive_over_masks(v[w]).tobytes()
+
+
 @pytest.mark.parametrize("n", range(1, 11))
 def test_additive_over_masks_is_the_matvec(n):
     v = np.random.default_rng(n).normal(0, 1, n)

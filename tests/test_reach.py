@@ -14,7 +14,7 @@ from pyspark.sql import functions as F
 from repro.alloc.comic_baselines import adoption_frequency
 from repro.core import configs
 from repro.diffusion import reach
-from repro.diffusion.epic import final_adoptions, simulate_welfare_multi
+from repro.diffusion.epic import LOOP_PARTITIONS, final_adoptions, simulate_welfare_multi
 from repro.diffusion.ic import reached, spread_mc
 from repro.graphs.generator import FIG1_EDGES, fig1_graph
 from repro.im.rrsets import sample_rr_sets
@@ -161,7 +161,7 @@ def test_cascade_kernel_alone_is_epic(spark):
     scen, starts, masks = (np.array(c) for c in zip(*[
         (s, v, m) for s, alloc in seeds.items() for v, m in alloc.items()
     ]))
-    kw = dict(n_worlds=2, kind="g", tables=np.tile(np.arange(8), (2, 1)), edge_seed=0, cap=10)
+    kw = dict(n_worlds=2, tables=np.tile(np.arange(8), (2, 1)), edge_seed=0, cap=10)
     (at, node, adopt, _), steps = reach.cascade(csr, scen, starts, masks, **kw)
     assert steps <= 4
     for s, alloc in seeds.items():
@@ -193,12 +193,13 @@ G3, REAL = configs.two_item_model(3), configs.real_model()
 
 # Digests of the per-superstep Spark loop (join, coin, table lookup,
 # anti-join + union, checkpoint each step) that the EPIC cascade replaced,
-# on ``er`` with 32 shuffle partitions on 4 cores (``epic.LOOP_PARTITIONS``,
-# ``epic.LOOP_SLICES``). Welfare sums ``util`` in row order, so the
-# per-world welfare digests pin the row order too. "g"/"pair" name the
-# adoption table. The last superstep touches no row in the "quiet" cases,
-# and touches rows without changing an adoption in the "touch" ones; no
-# seed adopts in "none".
+# on ``er`` with 32 shuffle partitions on 4 cores (``epic.LOOP_PARTITIONS``).
+# Welfare sums ``util`` in row order, so the per-world welfare digests pin
+# the row order too. "g"/"pair" name the adoption table. The last superstep
+# touches no row in the "quiet" cases, and touches rows without changing an
+# adoption in the "touch" ones. No seed adopts in "none", so no superstep
+# runs and the rows come by key, (world, node): its digest is of the
+# replaced loop's rows sorted that way, which pins both content and order.
 EPIC_CASES = [
     ("g-multi-quiet", lambda g: _welfare(simulate_welfare_multi(
         g, G3, {"a": {0: 1, 1: 2, 2: 1}, "b": _alloc(1, g.n, 10, 2), "c": _alloc(2, g.n, 25, 2)},
@@ -213,7 +214,7 @@ EPIC_CASES = [
     ("pair-rows-touch", lambda g: _rows(final_adoptions(g, REAL, _alloc(51, g.n, 10, 5), n_worlds=4, seed=1)),
      "cfc1368282893829"),
     ("pair-rows-none", lambda g: _rows(final_adoptions(g, REAL, _alloc(55, g.n, 10, 5), n_worlds=4, seed=5)),
-     "9400d0a7c9cd1289"),
+     "1a768022d4edceb0"),
 ]
 
 
@@ -222,27 +223,39 @@ def test_epic_matches_replaced_loop(er, name, make, digest):
     assert make(er) == digest
 
 
+# The same loop's rows when seeds adopt but no superstep touches a row
+# (v4 and v7 have no out-edges), digested sorted by (world, node). One
+# quiet superstep runs, so the rows come by (partition, key).
+SEEDS_ONLY = "e6d8383daf8e5b28"
+
+
+def _seeds_only(spark) -> str:
+    adopt = final_adoptions(fig1_graph(spark), configs.example_model(), {3: 0b101, 6: 0b111},
+                            n_worlds=3, seed=0)
+    world, node = adopt["world"], adopt["node"]
+    part = reach.spark_hash((0 * world, "int"), (world, "int"), (node, "long")) % LOOP_PARTITIONS
+    np.testing.assert_array_equal(np.lexsort((world * 7 + node, part)), np.arange(len(node)))
+    return _digest(sorted(np.column_stack([world, node, adopt["adopt"]]).tolist()))
+
+
+def test_epic_seeds_only_matches_replaced_loop(spark):
+    assert _seeds_only(spark) == SEEDS_ONLY
+
+
 def test_epic_row_order_ignores_the_session(spark, er):
-    """The quiet cases' row order follows the replaced loop's partitions,
-    not the session's: their digests hold at 7 shuffle partitions too."""
+    """The row order of the quiet cases and of those where no superstep
+    touches a row comes from ``epic.LOOP_PARTITIONS``, not from the
+    session's shuffle partitions: it holds at 7 partitions too."""
     key = "spark.sql.shuffle.partitions"
     old = spark.conf.get(key)
     spark.conf.set(key, "7")
     try:
         for name, make, digest in EPIC_CASES:
-            if name in ("g-multi-quiet", "g-rows-quiet"):
+            if name in ("g-multi-quiet", "g-rows-quiet", "pair-rows-none"):
                 assert make(er) == digest, name
+        assert _seeds_only(spark) == SEEDS_ONLY
     finally:
         spark.conf.set(key, old)
-
-
-# The same loop's rows when seeds adopt but no superstep touches a row
-# (v4 and v7 have no out-edges): ``createDataFrame``'s ``LOOP_SLICES``
-# slices of the six seed rows, each stably sorted by hash partition.
-def test_epic_seeds_only_matches_replaced_loop(spark):
-    adopt = final_adoptions(fig1_graph(spark), configs.example_model(), {3: 0b101, 6: 0b111},
-                            n_worlds=3, seed=0)
-    assert _rows(adopt) == "92607600560197df"
 
 
 # The kernels pack ``(key, node)`` as ``key * n + node``, so node n would

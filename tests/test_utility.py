@@ -170,8 +170,8 @@ def test_pair_table_is_the_scan_on_real_model_worlds():
     rng = np.random.default_rng(0)
     noises = np.stack([m.sample_noise(rng) for _ in range(400)])
     noises[:8] = 0.0
-    kind, tables, util = adoption_tables_for_worlds(m, noises)
-    assert kind == "pair" and tables.dtype == np.int32
+    tables, util = adoption_tables_for_worlds(m, noises)
+    assert tables.shape == (400, 32, 32) and tables.dtype == np.int32
     for w in range(len(util)):
         np.testing.assert_array_equal(tables[w], scan_pair_table(util[w], 5))
 
@@ -215,11 +215,11 @@ def test_g_table_empty_set_zero():
 
 def test_adoption_tables_kind_selection():
     sup = configs.additive_model(4)
-    kind, tables, util = adoption_tables_for_worlds(sup, np.zeros((2, 4)))
-    assert kind == "g" and tables.shape == (2, 16)
+    tables, util = adoption_tables_for_worlds(sup, np.zeros((2, 4)))
+    assert tables.shape == (2, 16)
     nonsup = configs.real_model()
-    kind, tables, util = adoption_tables_for_worlds(nonsup, np.zeros((2, 5)))
-    assert kind == "pair" and tables.shape == (2, 32, 32)
+    tables, util = adoption_tables_for_worlds(nonsup, np.zeros((2, 5)))
+    assert tables.shape == (2, 32, 32)
 
 
 def test_real_model_full_bundle_adopted_from_full_desire():
