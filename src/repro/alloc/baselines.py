@@ -12,11 +12,10 @@
 """
 from __future__ import annotations
 
-from itertools import combinations
-
 import numpy as np
 
 from repro.alloc.greedy_wm import AllocationResult
+from repro.core.itemsets import popcount, submasks
 from repro.core.utility import UtilityModel
 from repro.graphs.generator import SocialGraph
 from repro.im.imm import imm
@@ -45,15 +44,9 @@ def item_disj(
 def _min_bundle(det_util: np.ndarray, items: list[int], rem: dict[int, int]) -> int:
     """Smallest non-negative-deterministic-utility subset of ``items``
     (ties: first in mask order, the paper's scan order). 0 if none."""
-    avail = [j for j in items if rem.get(j, 0) > 0]
-    for size in range(1, len(avail) + 1):
-        candidates = sorted(
-            sum(1 << j for j in combo) for combo in combinations(avail, size)
-        )
-        for mask in candidates:
-            if det_util[mask] >= -1e-12:
-                return mask
-    return 0
+    avail = sum(1 << j for j in items if rem.get(j, 0) > 0)
+    by_size = sorted(submasks(avail), key=lambda m: (popcount(m), m))[1:]
+    return next((m for m in by_size if det_util[m] >= -1e-12), 0)
 
 
 def bundle_disj(

@@ -16,18 +16,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.itemsets import bits, popcount
+from repro.core.itemsets import bits, submasks
+from repro.core.utility import g_table
 
 
 def best_itemset(utilities: np.ndarray) -> int:
     """I*: the max-utility itemset, ties broken to larger cardinality then
-    larger mask (for supermodular utilities the largest-cardinality
-    maximizer is the union of all maximizers, Lemma 2)."""
-    best = utilities.max()
-    achievers = np.flatnonzero(utilities >= best - 1e-12)
-    sizes = popcount(achievers)
-    achievers = achievers[sizes == sizes.max()]
-    return int(achievers.max())
+    larger mask — the g-table at the full itemset (for supermodular
+    utilities the union of all maximizers, Lemma 2)."""
+    return int(g_table(utilities, len(utilities).bit_length() - 1)[-1])
 
 
 def generate_blocks(utilities: np.ndarray, istar: int) -> list[int]:
@@ -37,7 +34,7 @@ def generate_blocks(utilities: np.ndarray, istar: int) -> list[int]:
     ``utilities`` is the noise-world utility per mask; the scan order of
     candidate subsets is integer order of masks (= the paper's ≺).
     """
-    sequence = [m for m in range(1, istar + 1) if (m & istar) == m]
+    sequence = sorted(submasks(istar))[1:]
     blocks: list[int] = []
     union = 0
     idx = 0

@@ -6,16 +6,17 @@ deviations. A *noise world* (§4.1) is a concrete sample of the item noise
 terms; given one, the utility of every itemset is deterministic and the
 node adoption decision is a pure lookup, which we precompute:
 
-- ``g_table``: for supermodular valuations, ``g(D)`` = the unique maximal
-  utility-maximizing subset of desire set ``D`` (ties resolved to their
-  union, valid by Lemma 2). The EPIC adoption update is then
-  ``A_t = A_{t-1} | g(D_t)`` — the constrained argmax
+One scan, ``_argmax``, makes every itemset choice: the paper's adoption
+rule (§3.2 step 3), the utility-maximizing ``T`` with ``A_prev ⊆ T ⊆ D``,
+ties going to the larger (cardinality, mask). Two tables read it:
+
+- ``g_table``: its ``A_prev = ∅`` column, ``g(D)``. For supermodular
+  valuations that is the union of all maximizers (Lemma 2), and the EPIC
+  adoption update is ``A_t = A_{t-1} | g(D_t)`` — the constrained argmax
   ``max{U(T): A_{t-1} ⊆ T ⊆ D}`` is achieved at ``A_{t-1} ∪ g(D)``
   because both are local maxima (Lemmas 2–3).
 - ``pair_table``: for general valuations (the real eBay config is not
-  exactly supermodular), the full ``(desire, prev) → adopt`` lookup via
-  brute-force constrained argmax with the paper's tie-break (max utility,
-  then max cardinality).
+  exactly supermodular), the full ``(desire, prev) → adopt`` lookup.
 """
 from __future__ import annotations
 
@@ -112,73 +113,65 @@ class UtilityModel:
 # ---- adoption lookup tables -------------------------------------------
 
 
-def g_table(utilities: np.ndarray, n_items: int) -> np.ndarray:
-    """``g[D]`` = unique maximal argmax of utility over subsets of D.
+def _argmax(utilities: np.ndarray, n_items: int, d: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """The adopted itemset of each cell ``(d[i], a[i])``, ``a ⊆ d``: the
+    utility-maximizing ``T`` with ``a ⊆ T ⊆ d``, ties going to the larger
+    (cardinality, mask), for every row of ``utilities`` (shape
+    ``(..., 2^n)``; the result has shape ``(..., len(d))``).
 
-    DP over masks in increasing order: the best value over subsets of
-    ``m`` is the max of U(m) and the best over each ``m`` minus one item;
-    the arg is the OR of every achieving subset (their union also achieves
-    the max when utility is supermodular, Lemma 2 — asserted by callers).
-    ``utilities[0]`` is 0, so ``g[D]`` always has utility ≥ 0.
+    Each cell runs the paper's scan: start at ``a``, then candidate ``j`` is
+    ``a | submasks(d & ~a)[j]``, taken if its utility beats the best so far
+    by 1e-12, or ties it within 1e-12 with a larger (cardinality, mask).
+    The 1e-12 tie is not transitive, so the order fixes the result. The
+    cells are sorted by candidate count, most first, so step ``j`` runs
+    over the leading cells that have a ``j``-th candidate.
     """
-    size = 1 << n_items
-    best = np.empty(size)
-    arg = np.zeros(size, dtype=np.int64)
-    best[0] = utilities[0]
-    for m in range(1, size):
-        b = utilities[m]
-        a = m
-        rem = m
-        while rem:
-            bit = rem & (-rem)
-            rem ^= bit
-            s = m ^ bit
-            if best[s] > b + 1e-12:
-                b, a = best[s], arg[s]
-            elif abs(best[s] - b) <= 1e-12:
-                a |= arg[s]
-        best[m], arg[m] = b, a
-    return arg
+    count = popcount(np.arange(1 << n_items))
+    free = d & ~a
+    order = np.argsort(-count[free], kind="stable")
+    a, free = a[order], free[order]
+    n_cand = 1 << count[free]
+    s = free.copy()  # submasks(free)[j] at step j, by submasks' own step
+    best_t = np.array(np.broadcast_to(a, utilities.shape[:-1] + a.shape))
+    best_u = utilities[..., a]
+    for j in range(n_cand[0]):
+        k = int((n_cand > j).sum())
+        t, bt, bu = a[:k] | s[:k], best_t[..., :k], best_u[..., :k]  # bt, bu: views
+        s[:k] = (s[:k] - 1) & free[:k]
+        u, c, bc = utilities[..., t], count[t], count[bt]
+        take = (u > bu + 1e-12) | ((abs(u - bu) <= 1e-12) & ((c > bc) | ((c == bc) & (t > bt))))
+        bt[...] = np.where(take, t, bt)
+        bu[...] = np.where(take, u, bu)
+    out = np.empty_like(best_t)
+    out[..., order] = best_t
+    return out
+
+
+def g_table(utilities: np.ndarray, n_items: int) -> np.ndarray:
+    """``g[..., D]`` = the adopted itemset from desire set ``D`` with nothing
+    adopted before: ``_argmax``'s ``A_prev = ∅`` column. For supermodular
+    utility the largest-cardinality maximizer is the union of all
+    maximizers (Lemma 2), so ``g(D)`` is that union. ``utilities[0]`` is 0,
+    so ``g[D]`` always has utility ≥ 0.
+    """
+    d = np.arange(1 << n_items)
+    return _argmax(utilities, n_items, d, np.zeros_like(d))
 
 
 def pair_table(utilities: np.ndarray, n_items: int) -> np.ndarray:
     """Full constrained-argmax lookup ``T[..., D, A_prev] → adopt``, one
     table per row of ``utilities`` (shape ``(..., 2^n)``).
 
-    ``T[d, a]`` is the utility-maximizing itemset among
-    ``{T : a ⊆ T ⊆ d}``, ties broken by larger cardinality then larger
-    mask. Entries with ``a ⊄ d`` are never queried (adoption ⊆ desire) and
-    are left as ``a``. Works for any utility function — used for the real
+    ``T[d, a]`` is ``_argmax``'s cell ``(d, a)`` for every ``a ⊆ d``.
+    Entries with ``a ⊄ d`` are never queried (adoption ⊆ desire) and are
+    left as ``a``. Works for any utility function — used for the real
     (non-supermodular) eBay configuration. O(4^n); callers gate n ≤ 8.
-
-    Every ``a ⊆ d`` cell of every table scans its candidates at once, in
-    the order of a per-cell scan: start at ``a``, then candidate ``j`` is
-    ``a | submasks(d & ~a)[j]``, taken if its utility beats the best so far
-    by 1e-12, or ties it within 1e-12 with a larger (cardinality, mask).
-    The 1e-12 tie is not transitive, so the order fixes the result.
     """
     assert n_items <= 8, "pair table is O(4^n); use g_table for larger n"
     size = 1 << n_items
     d, a = np.array([(x, y) for x in range(size) for y in submasks(x)]).T
-    subs = np.full((size, size), -1)  # subs[f, j] = submasks(f)[j], -1 past the last
-    for f in range(size):
-        s = submasks(f)
-        subs[f, : len(s)] = s
-    cand = subs[d & ~a]
-    count = popcount(np.arange(size))
-    best_t = np.broadcast_to(a, utilities.shape[:-1] + a.shape)
-    best_u = utilities[..., a]
-    for j in range(size):
-        t = a | cand[:, j]
-        u, c, best_c = utilities[..., t], count[t], count[best_t]
-        take = (cand[:, j] >= 0) & (
-            (u > best_u + 1e-12)
-            | ((abs(u - best_u) <= 1e-12) & ((c > best_c) | ((c == best_c) & (t > best_t))))
-        )
-        best_t = np.where(take, t, best_t)
-        best_u = np.where(take, u, best_u)
     table = np.tile(np.arange(size, dtype=np.int16), utilities.shape[:-1] + (size, 1))
-    table[..., d, a] = best_t
+    table[..., d, a] = _argmax(utilities, n_items, d, a)
     return table
 
 
@@ -193,6 +186,4 @@ def adoption_tables_for_worlds(
     per-world utility arrays used for welfare accounting.
     """
     util = model.utilities_in_world(noises)
-    if model.supermodular:
-        return np.stack([g_table(u, model.n_items) for u in util]).astype(np.int32), util
-    return pair_table(util, model.n_items).astype(np.int32), util
+    return (g_table if model.supermodular else pair_table)(util, model.n_items).astype(np.int32), util

@@ -66,7 +66,10 @@ def _run_simulation(
     ``_loop_order``'s row order, the (W, 2^n) per-world utility arrays, and
     the last superstep in which any scenario's adoption changed (the kernel
     runs one more, quiet, to see that; 0 if no seed adopts anything).
+    Masks of 0 are dropped; any other mask must be an itemset of the model.
     """
+    if any(not 0 <= m < 1 << model.n_items for al in allocations.values() for m in al.values()):
+        raise ValueError(f"itemset masks must lie in [1, {1 << model.n_items}) for model {model.name}")
     rng = np.random.default_rng(seed)
     noises = np.stack([model.sample_noise(rng) for _ in range(n_worlds)])
     tables, util = adoption_tables_for_worlds(model, noises)

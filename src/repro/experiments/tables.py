@@ -12,7 +12,7 @@ from repro.bidlearn.auctions import (
     simulate_bidding_history,
 )
 from repro.core import configs
-from repro.core.itemsets import bits, is_monotone, is_supermodular
+from repro.core.itemsets import bits, is_monotone
 from repro.graphs.generator import NETWORK_SPECS, SocialGraph, load_network
 
 #: Paper's Table 2 rows, for side-by-side comparison.
@@ -104,7 +104,7 @@ def table4(n_items: int = 10) -> pd.DataFrame:
                 "config": cfg,
                 "value": meta[cfg][0],
                 "budget": meta[cfg][1],
-                "supermodular_value": is_supermodular(m.values, n_items),
+                "supermodular_value": m.supermodular,
                 "monotone_value": is_monotone(m.values, n_items),
                 "n_positive_det_utility": int((det[1:] > 1e-12).sum()),
             }

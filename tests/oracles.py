@@ -8,6 +8,8 @@
   reachability and spread the engine's Monte-Carlo answers are held to.
 - ``er_graph`` builds small random graphs, and ``rr_sets`` packs a list
   of per-set arrays as ``RRSets``.
+- ``g_table_dp`` is the g-table as a DP that ORs together every tied
+  subset, the reference for ``utility.g_table``'s scan.
 """
 from __future__ import annotations
 
@@ -140,3 +142,31 @@ def rr_sets(sets: list[np.ndarray]) -> RRSets:
     """The RR sets ``sets``, each an array of distinct nodes, as one ``RRSets``."""
     return RRSets(np.concatenate([np.zeros(0, np.int64), *sets]),
                   np.cumsum([0] + [len(s) for s in sets], dtype=np.int64))
+
+
+def g_table_dp(utilities: np.ndarray, n_items: int) -> np.ndarray:
+    """``g[D]`` = unique maximal argmax of utility over subsets of D.
+
+    DP over masks in increasing order: the best value over subsets of
+    ``m`` is the max of U(m) and the best over each ``m`` minus one item;
+    the arg is the OR of every achieving subset (their union also achieves
+    the max when utility is supermodular, Lemma 2).
+    """
+    size = 1 << n_items
+    best = np.empty(size)
+    arg = np.zeros(size, dtype=np.int64)
+    best[0] = utilities[0]
+    for m in range(1, size):
+        b = utilities[m]
+        a = m
+        rem = m
+        while rem:
+            bit = rem & (-rem)
+            rem ^= bit
+            s = m ^ bit
+            if best[s] > b + 1e-12:
+                b, a = best[s], arg[s]
+            elif abs(best[s] - b) <= 1e-12:
+                a |= arg[s]
+        best[m], arg[m] = b, a
+    return arg

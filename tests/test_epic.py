@@ -211,6 +211,30 @@ def test_multi_empty_next_to_seeded(fig1, example):
     assert res["greedy"].adoptions == 15.0
 
 
+@pytest.mark.parametrize("mask", [-1, 4, 1 << 40])
+def test_masks_outside_the_model_raise(fig1, mask, monkeypatch):
+    """A mask that is no itemset of the 2-item model is a ValueError before
+    any Spark job, through both entry points, even next to a valid
+    allocation: -1 used to wrap around in the table index, and 4 and 2^40
+    to fail inside a Spark task."""
+    model = configs.two_item_model(1)
+    monkeypatch.setattr(epic, "run_sharded", None)
+    with pytest.raises(ValueError, match="itemset masks"):
+        simulate_welfare_multi(fig1, model, {"ok": {1: 0b11}, "a": {0: mask}}, n_worlds=2, seed=0)
+    with pytest.raises(ValueError, match="itemset masks"):
+        final_adoptions(fig1, model, {0: mask}, n_worlds=2, seed=0)
+
+
+def test_all_zero_masks_seed_nothing(fig1):
+    """Masks of 0 are dropped: an allocation of only zero masks gets zero
+    welfare and adoptions, and no adoption rows."""
+    model, alloc = configs.two_item_model(1), {0: 0, 3: 0}
+    r = simulate_welfare_multi(fig1, model, {"a": alloc}, n_worlds=2, seed=0)["a"]
+    assert r.welfare == 0.0 and r.adoptions == 0.0 and r.supersteps == 0
+    adopt = final_adoptions(fig1, model, alloc, n_worlds=2, seed=0)
+    assert all(len(a) == 0 for a in adopt.values())
+
+
 def test_superstep_cap_raises(fig1, example, monkeypatch):
     """Reaching the superstep cap with a live frontier is an error, not a
     silently truncated state: {i1, i2} seeded at v1 needs three supersteps
@@ -266,6 +290,8 @@ def test_supersteps_zero_when_nothing_adopts(fig1, example):
 # ---- Theorem 3 against the exact optimum -------------------------------
 
 ZERO_NOISE = [dataclasses.replace(configs.two_item_model(c), noise_std=np.zeros(2)) for c in (1, 3, 5)]
+#: Configs 7 (additive) and 8 (cone, core at the max-budget item) at 3 items.
+ZERO_NOISE_3 = [dataclasses.replace(configs.multi_item_model(c, 3), noise_std=np.zeros(3)) for c in (7, 8)]
 
 
 def _pairs_welfare(model, pairs, edges) -> float:
@@ -296,18 +322,23 @@ def test_theorem3_greedy_wm_reaches_1_minus_1_over_e_of_opt(spark, instance):
     """Theorem 3 with exact spread: on Figure 1 and on random graphs of 5
     nodes and at most 6 edges, all at p = 0.5, greedyWM's exact welfare is
     at least (1 − 1/e) of the optimum over every allocation, for zero-noise
-    configs 1, 3 and 5 at budgets [2, 1] and [2, 2]."""
+    configs 1, 3 and 5 at budgets [2, 1] and [2, 2]; and, on Figure 1 and
+    one 3-edge random graph, for zero-noise 3-item configs 7 and 8 at
+    budgets [1, 1, 1] and [2, 1, 1] (on all seven instances their OPT
+    would add about 7.5 s, on Figure 1 alone about 3 s)."""
     graph = (fig1_graph(spark) if instance == "fig1"
              else er_graph(spark, name=f"er-thm3-{instance}", n=5, m_target=6, seed=instance))
     half = dataclasses.replace(graph, p=np.full(graph.m, 0.5))
     edges = list(zip(half.src.tolist(), half.dst.tolist()))
     assert half.m <= 6 and half.n <= 7
-    for model in ZERO_NOISE:
-        for budgets in ([2, 1], [2, 2]):
-            rho = _pairs_welfare(model, _greedy_wm_exact(half, budgets), edges)
-            opt = _opt(model, half.n, budgets, edges)
-            assert opt > 0
-            assert rho >= (1 - 1 / math.e) * opt - 1e-9, (model.name, budgets, rho, opt)
+    cases = [(model, budgets) for model in ZERO_NOISE for budgets in ([2, 1], [2, 2])]
+    if instance in ("fig1", 1):
+        cases += [(model, budgets) for model in ZERO_NOISE_3 for budgets in ([1, 1, 1], [2, 1, 1])]
+    for model, budgets in cases:
+        rho = _pairs_welfare(model, _greedy_wm_exact(half, budgets), edges)
+        opt = _opt(model, half.n, budgets, edges)
+        assert opt > 0
+        assert rho >= (1 - 1 / math.e) * opt - 1e-9, (model.name, budgets, rho, opt)
 
 
 def test_welfare_is_neither_submodular_nor_supermodular():

@@ -10,13 +10,14 @@ import pytest
 
 import repro
 from repro.core import configs
-from repro.core.itemsets import is_monotone, popcount, submasks
+from repro.core.itemsets import bits, is_monotone, popcount, submasks
 from repro.core.utility import (
     adoption_tables_for_worlds,
     g_table,
     norm_cdf,
     pair_table,
 )
+from tests.oracles import g_table_dp
 
 # ---- Table 3 GAP reproduction (Eq. 5) ---------------------------------
 
@@ -129,6 +130,11 @@ def test_g_table_matches_bruteforce_supermodular(seed):
         _, bu = brute_unconstrained(util, d)
         assert util[g[d]] == pytest.approx(bu)
         assert (g[d] & d) == g[d]
+        union = 0
+        for s in submasks(d):
+            if round(util[s], 9) == round(bu, 9):
+                union |= s
+        assert g[d] == union
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -205,6 +211,43 @@ def test_g_and_pair_table_agree_when_supermodular(cfg):
                 if util[a] < max(util[s] for s in submasks(a)):
                     continue  # not a local maximum -> unreachable state
                 assert (a | g[d]) == p[d, a]
+
+
+def _assert_same_bytes(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_g_table_is_the_dp_on_tie_heavy_supermodular(n):
+    """``a·|S|²`` plus an integer-valued modular term, scaled by 1, ½ and ¼,
+    ties exactly and often: the scan's ``A_prev = ∅`` column equals the DP
+    that ORs every tied subset, byte for byte."""
+    rng = np.random.default_rng(n)
+    sq = popcount(np.arange(1 << n)).astype(float) ** 2
+    for _ in range(10):
+        a = float(rng.integers(0, 3))
+        for scale in (1.0, 0.5, 0.25):
+            mod = rng.integers(-4, 3, n) * scale
+            util = a * sq + np.array([sum(mod[j] for j in bits(m)) for m in range(1 << n)])
+            util[0] = 0.0
+            _assert_same_bytes(g_table(util, n), g_table_dp(util, n))
+
+
+@pytest.mark.parametrize("zero_noise", [False, True])
+def test_g_table_is_the_dp_on_every_config(zero_noise):
+    """Configs 1–6, configs 7–10 at 10 items and Example 1: the g-tables
+    of 8 noise worlds (or 8 noiseless ones) are the DP's, byte for byte."""
+    models = [configs.two_item_model(c) for c in range(1, 7)]
+    models += [configs.multi_item_model(c, 10) for c in (7, 8, 9, 10)]
+    models += [configs.example_model()]
+    rng = np.random.default_rng(0)
+    for m in models:
+        assert m.supermodular
+        noises = np.zeros((8, m.n_items)) if zero_noise else np.stack([m.sample_noise(rng) for _ in range(8)])
+        util = m.utilities_in_world(noises)
+        want = np.stack([g_table_dp(u, m.n_items) for u in util])
+        _assert_same_bytes(g_table(util, m.n_items), want)
 
 
 def test_g_table_empty_set_zero():
