@@ -49,9 +49,4 @@ def main(infile, outfile) -> None:
     _task_main(infile, outfile)
 
 
-if __name__ == "__main__":  # started without the daemon: spark.python.use.daemon=false, Windows
-    import runpy
-
-    runpy.run_module("pyspark.worker", run_name="__main__")
-else:
-    from pyspark.worker import main as _task_main
+from pyspark.worker import main as _task_main

@@ -112,30 +112,26 @@ def levelwise_model(n_items: int, seed: int) -> UtilityModel:
     values[1 << np.arange(n_items)] = v1
     # marg[(i, B)] = operational marginal V(i | B); level-1 base: B = ∅.
     marg: dict[tuple[int, int], float] = {(i, 0): v1[i] for i in range(n_items)}
-    masks_by_level: dict[int, list[int]] = {}
-    for m in range(1, size):
-        masks_by_level.setdefault(popcount(m), []).append(m)
-    for t in range(2, n_items + 1):
-        for a in masks_by_level.get(t, []):
-            for i in bits(a):
-                rest = a ^ (1 << i)
-                # max over (t−2)-subsets B of rest of marg[(i, B)] + ε
-                best = max(
-                    marg[(i, rest ^ (1 << j))] for j in bits(rest)
-                )
-                marg[(i, rest)] = best + rng.uniform(1.0, 5.0)
-            values[a] = max(
-                values[a ^ (1 << i)] + marg[(i, a ^ (1 << i))] for i in bits(a)
+    for a in sorted((m for m in range(size) if popcount(m) > 1), key=popcount):
+        for i in bits(a):
+            rest = a ^ (1 << i)
+            # max over (t−2)-subsets B of rest of marg[(i, B)] + ε
+            best = max(
+                marg[(i, rest ^ (1 << j))] for j in bits(rest)
             )
-            # supermodular envelope (pairwise increasing differences)
-            items = bits(a)
-            for x in range(len(items)):
-                for y in range(x + 1, len(items)):
-                    bi, bj = 1 << items[x], 1 << items[y]
-                    values[a] = max(
-                        values[a],
-                        values[a ^ bi] + values[a ^ bj] - values[a ^ bi ^ bj],
-                    )
+            marg[(i, rest)] = best + rng.uniform(1.0, 5.0)
+        values[a] = max(
+            values[a ^ (1 << i)] + marg[(i, a ^ (1 << i))] for i in bits(a)
+        )
+        # supermodular envelope (pairwise increasing differences)
+        items = bits(a)
+        for x in range(len(items)):
+            for y in range(x + 1, len(items)):
+                bi, bj = 1 << items[x], 1 << items[y]
+                values[a] = max(
+                    values[a],
+                    values[a ^ bi] + values[a ^ bj] - values[a ^ bi ^ bj],
+                )
     return UtilityModel(
         name="config10-levelwise",
         n_items=n_items,

@@ -11,15 +11,15 @@ Faithful implementation of the pseudocode, including:
 Sampling looks ahead along the failing path: while a line-14 check can
 still fail, the next top-ups are known in advance (θ doubles with ``i``),
 so one ``sample_rr_sets`` call draws the current batch and the following
-ones, up to ``AHEAD_CAP`` sets, and keeps them pending by offset. A
-top-up that starts where a pending batch starts, and is no longer, takes
-its prefix, which is the batch it would have sampled (``sample_rr_sets``:
-a batch is a pure function of its seed, offset and size, and
-prefix-stable); a longer one samples its whole request there again. So
-RR sets, seeds, ``n_rr`` and coverage are those of one call per top-up.
-Discarded tails count in ``sampled``, not in ``n_rr``. This is the
-SSA/D-SSA idea (Nguyen, Thai, Dinh, SIGMOD 2016) of sampling geometric
-batches ahead.
+ones, up to ``AHEAD_CAP`` sets, and queues them; the first starts where
+the collection ends. A top-up no longer than it takes its prefix, which
+is the batch it would have sampled (``sample_rr_sets``: a batch is a pure
+function of its seed, offset and size, and prefix-stable); a longer one
+samples its whole request there again. A partial take empties the queue.
+So RR sets, seeds, ``n_rr`` and coverage are those of one call per
+top-up. Discarded tails count in ``sampled``, not in ``n_rr``. This is
+the SSA/D-SSA idea (Nguyen, Thai, Dinh, SIGMOD 2016) of sampling
+geometric batches ahead.
 
 IMM itself is the single-budget special case (`im.imm`).
 """
@@ -92,7 +92,7 @@ def primm(
     ell_p = ell2 + math.log(len(b)) / math.log(n)   # line 3: log_n(n^ℓ·|b|)
     eps_p = math.sqrt(2) * EPS                      # line 4
     max_i = int(math.log2(n)) - 1
-    pending: dict[int, RRSets] = {}                 # sampled ahead: offset -> its batch
+    ahead: list[RRSets] = []                        # sampled ahead; ahead[0] starts at len(rr)
     sampled = calls = 0
 
     def failing_path(k: int, i: int) -> list[float]:
@@ -101,36 +101,31 @@ def primm(
         return ([lambda_prime(n, k, eps_p, ell_p) / (n / 2**j) for j in range(i, max_i + 1)]
                 + [lambda_star(n, k, EPS, ell_p)])
 
-    def sample_ahead(targets: list[float]) -> None:
-        """Replace ``pending`` with the batches of the top-ups to ``targets``
-        from ``len(rr)``, split at ``BATCH_CAP``: the first batch and those
-        after it that fit in ``AHEAD_CAP`` sets, in one sampling call."""
-        nonlocal sampled, calls
-        sizes, end = [], len(rr)
-        for t in map(math.ceil, targets):
-            while t > end:
-                sizes.append(min(t - end, BATCH_CAP))
-                end += sizes[-1]
-        sizes = sizes[:max(1, int(np.searchsorted(np.cumsum(sizes), AHEAD_CAP, side="right")))]
-        sets = sample_rr_sets(graph, sizes, seed=seed, id_offset=len(rr))
-        sampled, calls = sampled + len(sets), calls + 1
-        pending.clear()
-        at = 0
-        for t in sizes:
-            pending[len(rr) + at] = sets[at:at + t]
-            at += t
-
     def top_up(targets: list[float]) -> None:
-        """Grow the collection to ``targets[0]`` sets, taking the prefix of
-        the pending batch that starts where it ends, if that batch is long
-        enough. Otherwise sample it, and ``targets[1:]``, the top-ups that
-        follow if the coming checks fail, ahead."""
+        """Grow the collection to ``targets[0]`` sets from the prefix of
+        ``ahead[0]``, if it is long enough. Otherwise replace ``ahead`` with
+        the batches of the top-ups to ``targets`` (``targets[1:]`` follow if
+        the coming checks fail), split at ``BATCH_CAP``: the first batch and
+        those after it that fit in ``AHEAD_CAP`` sets, in one sampling call."""
+        nonlocal sampled, calls
         goal = math.ceil(targets[0])
         while len(rr) < goal:
             take = min(goal - len(rr), BATCH_CAP)
-            if len(pending.get(len(rr), ())) < take:
-                sample_ahead(targets)
-            rr.extend(pending.pop(len(rr))[:take])
+            if not ahead or len(ahead[0]) < take:
+                sizes, end = [], len(rr)
+                for t in map(math.ceil, targets):
+                    while t > end:
+                        sizes.append(min(t - end, BATCH_CAP))
+                        end += sizes[-1]
+                sizes = sizes[:max(1, int(np.searchsorted(np.cumsum(sizes), AHEAD_CAP, side="right")))]
+                sets = sample_rr_sets(graph, sizes, seed=seed, id_offset=len(rr))
+                sampled, calls = sampled + len(sets), calls + 1
+                at = np.cumsum([0] + sizes)
+                ahead[:] = [sets[i:j] for i, j in zip(at[:-1], at[1:])]
+            batch = ahead.pop(0)
+            rr.extend(batch[:take])
+            if take < len(batch):   # the batches behind no longer start at len(rr)
+                ahead.clear()
 
     s = 0                      # index into b (paper's s-1)
     i = 1

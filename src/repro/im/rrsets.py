@@ -24,8 +24,8 @@ from repro.graphs.generator import SocialGraph
 class RRSets:
     """RR sets as one CSR pair: set ``i`` is ``nodes[ptr[i]:ptr[i + 1]]``.
 
-    Behaves as a sequence of per-set arrays: ``len``, integer indexing,
-    step-1 slices (views that share ``nodes``) and iteration.
+    Reads as a sequence of per-set arrays through ``len``, step-1 slices
+    (views that share ``nodes``) and iteration.
     """
 
     def __init__(self, nodes: np.ndarray, ptr: np.ndarray) -> None:
@@ -34,14 +34,11 @@ class RRSets:
     def __len__(self) -> int:
         return len(self.ptr) - 1
 
-    def __getitem__(self, i: int | slice) -> np.ndarray | RRSets:
-        if isinstance(i, slice):
-            start, stop, step = i.indices(len(self))
-            if step != 1:
-                raise ValueError("RR sets slice with step 1 only")
-            return RRSets(self.nodes, self.ptr[start:max(start, stop) + 1])
-        i = range(len(self))[i]
-        return self.nodes[self.ptr[i]:self.ptr[i + 1]]
+    def __getitem__(self, i: slice) -> RRSets:
+        start, stop, step = i.indices(len(self))
+        if step != 1:
+            raise ValueError("RR sets slice with step 1 only")
+        return RRSets(self.nodes, self.ptr[start:max(start, stop) + 1])
 
     def __iter__(self):
         ptr = self.ptr.tolist()

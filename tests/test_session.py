@@ -3,7 +3,8 @@
 workers' zipimporters but still invalidates every other finder and whose
 ``main`` leaves a closed socket quietly, and talks to them over
 Unix-domain sockets in a private directory; its driver JVM compiles with
-C1 only."""
+C1 only. On a ``local-cluster`` master it computes the same bits."""
+import hashlib
 import importlib
 import json
 import os
@@ -19,7 +20,12 @@ import pytest
 from pyspark import SparkFiles
 
 import repro
+from repro.alloc.greedy_wm import greedy_wm
+from repro.core import configs
+from repro.diffusion.epic import simulate_welfare_multi
 from repro.experiments.session import SOCKET_DIR_MAX, socket_dir
+from repro.graphs.generator import load_network
+from repro.im.rrsets import sample_rr_sets
 
 
 def _on_every_task(spark, fn) -> list:
@@ -118,16 +124,26 @@ def test_idle_worker_leaves_a_closed_socket_quietly(monkeypatch):
     assert got == [b"\x00\x00\x00\x03task"]
 
 
+def _child(code: str, **env: str) -> list:
+    """Run ``code`` in a fresh Python process, with the repository root and
+    ``repro`` importable, a 1g driver and ``env`` set, and return its last
+    line of output read as JSON."""
+    full = {k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"}
+    full.update(SPARK_DRIVER_MEM="1g", **env, PYTHONPATH=os.pathsep.join(
+        [str(Path(__file__).parents[1]), str(Path(repro.__file__).parents[1]),
+         full.get("PYTHONPATH", "")]))
+    child = subprocess.run([sys.executable, "-c", code], env=full, capture_output=True,
+                           text=True, timeout=300)
+    assert child.returncode == 0, child.stderr[-3000:]
+    return json.loads(child.stdout.splitlines()[-1])
+
+
 def _fresh_driver(tmp: Path, conf: Path) -> tuple[str, list[str]]:
     """Start a driver under ``TMPDIR=tmp`` and ``SPARK_CONF_DIR=conf`` in a
     child process, collect an RDD and round-trip a pandas frame through
     Arrow; check both results and that the socket directory is gone once
     the child exits, and return that directory and the JVM's input
     arguments."""
-    env = {k: v for k, v in os.environ.items() if k != "PYSPARK_SUBMIT_ARGS"}
-    env.update(TMPDIR=str(tmp), SPARK_CONF_DIR=str(conf), SPARK_DRIVER_MEM="1g",
-               SPARK_MASTER="local[2]", PYTHONPATH=os.pathsep.join(
-                   [str(Path(repro.__file__).parents[1]), env.get("PYTHONPATH", "")]))
     code = (
         "import json, pandas as pd\n"
         "from repro.experiments.session import get_spark, socket_dir\n"
@@ -138,10 +154,8 @@ def _fresh_driver(tmp: Path, conf: Path) -> tuple[str, list[str]]:
         "args = list(jvm.getRuntimeMXBean().getInputArguments())\n"
         "print(json.dumps([socket_dir(), rdd, df, args]))\n"
     )
-    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                           text=True, timeout=300)
-    assert child.returncode == 0, child.stderr[-3000:]
-    where, rdd, df, args = json.loads(child.stdout.splitlines()[-1])
+    where, rdd, df, args = _child(code, TMPDIR=str(tmp), SPARK_CONF_DIR=str(conf),
+                                  SPARK_MASTER="local[2]")
     assert rdd == [0, 1, 4, 9, 16, 25] and df == [3, 1, 2]
     assert not os.path.exists(where)
     return where, args
@@ -204,3 +218,34 @@ def test_driver_starts_where_the_socket_dir_would_be_63_characters(tmp_path):
         assert len(where) <= SOCKET_DIR_MAX
     finally:
         shutil.rmtree(base)
+
+
+def _sampling_allocation_and_welfare(spark) -> list:
+    """On douban-movie-lite: a digest of 2,000 RR sets, greedyWM's seeds and
+    ``n_rr`` at ``[10, 10]``, and that allocation's per-world welfare
+    (``float.hex``) over 8 worlds of config 3."""
+    g = load_network(spark, "douban-movie-lite")
+    sets = sample_rr_sets(g, 2000, seed=3)
+    res = greedy_wm(g, [10, 10], seed=0)
+    w = simulate_welfare_multi(g, configs.two_item_model(3), {"wm": res.allocation},
+                               n_worlds=8, seed=0)["wm"]
+    return [hashlib.sha256(sets.nodes.tobytes() + sets.ptr.tobytes()).hexdigest(),
+            {str(j): s for j, s in res.seeds_per_item.items()}, res.n_rr,
+            [float(x).hex() for x in w.per_world_welfare]]
+
+
+def test_cluster_topology_keeps_every_bit(spark):
+    """Two executor JVMs (``local-cluster``), which reach the worker module
+    and ``repro`` only through the executor environment and each fetch the
+    broadcast CSR, sample the same RR sets, allocate the same seeds and
+    evaluate the same per-world welfare as the session's local master."""
+    code = (
+        "import json\n"
+        "from repro.experiments.session import get_spark\n"
+        "from tests.test_session import _sampling_allocation_and_welfare\n"
+        "s = get_spark('cluster')\n"
+        "print(json.dumps([s.sparkContext.master, *_sampling_allocation_and_welfare(s)]))\n"
+    )
+    master, *got = _child(code, SPARK_MASTER="local-cluster[2,2,1024]")
+    assert master == "local-cluster[2,2,1024]"
+    assert got == _sampling_allocation_and_welfare(spark)
